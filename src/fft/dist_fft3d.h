@@ -7,10 +7,11 @@
 // [x0(r), x1(r)), grid/sharded_field.h layout). One forward transform:
 //
 //   1. local 2D:   each rank transforms its slab along z then y — both
-//                  axes are complete inside an x-slab. Line transforms
-//                  run through the thread-local 1D plan cache
-//                  (fft/plan_cache.h), identical arithmetic to the dense
-//                  Fft3D's z/y passes.
+//                  axes are complete inside an x-slab. z rows run one
+//                  line each; each x-plane's nz interleaved y lines run
+//                  as one multi-line pass (fft/fft.h). Both go through
+//                  the thread-local 1D plan cache (fft/plan_cache.h),
+//                  exactly as the dense Fft3D's z/y passes do.
 //   2. transpose:  one ShardComm::all_to_all pencil transpose: block
 //                  (src -> dst) carries src's x planes of dst's y range.
 //                  After it, rank r owns y-pencils: global y in
@@ -21,17 +22,20 @@
 //
 // The inverse runs the mirror image (x on pencils, transpose back, then
 // y and z on slabs), which matches the dense Fft3D inverse axis order
-// (x, y, z) exactly. Because per-line arithmetic is the dense code's and
-// the axis order agrees in both directions, the distributed transform is
-// *bit-identical* to the dense one for any shard count and worker count.
+// (x, y, z) exactly. The dense Fft3D runs its x axis as one pass over
+// n2*n3 interleaved lines where this runs one pencil row at a time; the
+// 1D kernel gives every line the same arithmetic whatever the line
+// count (fft/fft.h), and the axis order agrees in both directions, so
+// the distributed transform is *bit-identical* to the dense one for any
+// shard count and worker count.
 // G-space pointwise kernels (Poisson, Kerker) therefore apply to the
 // pencils with dense-path bits.
 //
-// All rank buffers (slab scratch, pencils, line scratch) are sized once
-// at construction and never reallocated; the all_to_all mailboxes grow
-// only on the first exchange (probed via ShardComm::allocations()). Per
-// rank the footprint is ~3x global/N complex values — no step touches
-// the full grid. Storage follows the ShardComm's mode: under an SPMD
+// All rank buffers (slab scratch, pencils) are sized once at
+// construction and never reallocated; the all_to_all mailboxes grow only
+// on the first exchange (probed via ShardComm::allocations()). Per rank
+// the footprint is ~2x global/N complex values — no step touches the
+// full grid. Storage follows the ShardComm's mode: under an SPMD
 // transport (comm.local_rank() >= 0) only the local rank's buffers are
 // allocated, so the whole-transform resident footprint really is
 // ~global/N per process; the in-process backends keep all N ranks'
@@ -92,7 +96,6 @@ class DistFft3D {
   std::size_t pencil_size(int r) const { return pencil_[r].size(); }
   // Per-rank scratch extents (complex elements) for footprint probes.
   std::size_t slab_size(int r) const { return slab_[r].size(); }
-  std::size_t scratch_size(int r) const { return scratch_[r].size(); }
 
   // Wall seconds spent in the transpose (pack + unpack) phases since the
   // last call — the GENPOT.transpose sub-phase feed.
@@ -115,7 +118,6 @@ class DistFft3D {
   int local_ = -1;
   std::vector<std::vector<cplx>> slab_;     // per-rank complex x-slab
   std::vector<std::vector<cplx>> pencil_;   // per-rank y-pencil block
-  std::vector<std::vector<cplx>> scratch_;  // per-rank strided-y gather
   double transpose_s_ = 0;
 };
 

@@ -1,27 +1,21 @@
 #include "fft/fft3d.h"
 
-#include <algorithm>
 #include <cassert>
 
-#include "fft/plan_cache.h"
 #include "parallel/thread_pool.h"
 
 namespace ls3df {
 
 template <typename Real>
 BasicFft3D<Real>::BasicFft3D(Vec3i shape)
-    : shape_(shape),
-      fx_(shape.x),
-      fy_(shape.y),
-      fz_(shape.z),
-      scratch_(std::max(shape.x, shape.y)) {
+    : shape_(shape), fx_(shape.x), fy_(shape.y), fz_(shape.z) {
   assert(shape.x >= 1 && shape.y >= 1 && shape.z >= 1);
 }
 
 template <typename Real>
 void BasicFft3D<Real>::transform_z(Cplx* data, bool inv) const {
   const int n1 = shape_.x, n2 = shape_.y, n3 = shape_.z;
-  // Axis z: contiguous rows.
+  // Axis z: contiguous rows, one line each.
   for (int ix = 0; ix < n1; ++ix)
     for (int iy = 0; iy < n2; ++iy) {
       Cplx* row = data + (static_cast<std::size_t>(ix) * n2 + iy) * n3;
@@ -35,36 +29,25 @@ void BasicFft3D<Real>::transform_z(Cplx* data, bool inv) const {
 template <typename Real>
 void BasicFft3D<Real>::transform_y(Cplx* data, bool inv) const {
   const int n1 = shape_.x, n2 = shape_.y, n3 = shape_.z;
-  // Axis y: stride n3 within each x-slab.
-  std::vector<Cplx>& buf = scratch_;
-  for (int ix = 0; ix < n1; ++ix)
-    for (int iz = 0; iz < n3; ++iz) {
-      Cplx* base = data + static_cast<std::size_t>(ix) * n2 * n3 + iz;
-      for (int iy = 0; iy < n2; ++iy) buf[iy] = base[static_cast<std::size_t>(iy) * n3];
-      if (inv)
-        fy_.inverse(buf.data());
-      else
-        fy_.forward(buf.data());
-      for (int iy = 0; iy < n2; ++iy) base[static_cast<std::size_t>(iy) * n3] = buf[iy];
-    }
+  // Axis y: each x-slab holds n3 interleaved lines (element iy of line
+  // iz at iy * n3 + iz).
+  for (int ix = 0; ix < n1; ++ix) {
+    Cplx* slab = data + static_cast<std::size_t>(ix) * n2 * n3;
+    if (inv)
+      fy_.inverse_lines(slab, n3);
+    else
+      fy_.forward_lines(slab, n3);
+  }
 }
 
 template <typename Real>
 void BasicFft3D<Real>::transform_x(Cplx* data, bool inv) const {
-  const int n1 = shape_.x, n2 = shape_.y, n3 = shape_.z;
-  // Axis x: stride n2*n3.
-  std::vector<Cplx>& buf = scratch_;
-  const std::size_t sx = static_cast<std::size_t>(n2) * n3;
-  for (int iy = 0; iy < n2; ++iy)
-    for (int iz = 0; iz < n3; ++iz) {
-      Cplx* base = data + static_cast<std::size_t>(iy) * n3 + iz;
-      for (int ix = 0; ix < n1; ++ix) buf[ix] = base[ix * sx];
-      if (inv)
-        fx_.inverse(buf.data());
-      else
-        fx_.forward(buf.data());
-      for (int ix = 0; ix < n1; ++ix) base[ix * sx] = buf[ix];
-    }
+  // Axis x: the whole grid is n2 * n3 interleaved lines.
+  const int lines = shape_.y * shape_.z;
+  if (inv)
+    fx_.inverse_lines(data, lines);
+  else
+    fx_.forward_lines(data, lines);
 }
 
 template <typename Real>
@@ -87,47 +70,19 @@ void BasicFft3D<Real>::transform(Cplx* data, bool inv) const {
 
 namespace {
 
-// Thread-local cached plan lookup, one per real type (fft/plan_cache.h).
-template <typename Real>
-const BasicFft3D<Real>& cached_plan(Vec3i shape);
-template <>
-const BasicFft3D<double>& cached_plan<double>(Vec3i shape) {
-  return fft_plan(shape);
-}
-template <>
-const BasicFft3D<float>& cached_plan<float>(Vec3i shape) {
-  return fft_plan_f32(shape);
-}
-
 template <typename Real>
 void transform_many(const BasicFft3D<Real>& self, std::complex<Real>* stack,
                     int count, bool inv, int n_workers) {
   if (count <= 0) return;
   const std::size_t stride = self.size();
-  if (n_workers <= 1 || count == 1) {
-    for (int g = 0; g < count; ++g) {
-      std::complex<Real>* grid = stack + static_cast<std::size_t>(g) * stride;
-      if (inv)
-        self.inverse(grid);
-      else
-        self.forward(grid);
-    }
-    return;
-  }
-  const Vec3i shape = self.shape();
-  // Each lane transforms through its own thread-local plan so the
-  // strided-axis scratch is never shared between concurrent grids; the
-  // cache lookup happens once per lane, not once per grid.
-  std::vector<const BasicFft3D<Real>*> lane_plan(std::min(n_workers, count),
-                                                 nullptr);
-  parallel_for(count, n_workers, [&](int g, int worker) {
-    const BasicFft3D<Real>*& plan = lane_plan[worker];
-    if (!plan) plan = &cached_plan<Real>(shape);
+  // The plan holds no mutable state (pass scratch is thread-local,
+  // fft/fft.h), so every lane transforms through it directly.
+  parallel_for(count, n_workers, [&](int g, int) {
     std::complex<Real>* grid = stack + static_cast<std::size_t>(g) * stride;
     if (inv)
-      plan->inverse(grid);
+      self.inverse(grid);
     else
-      plan->forward(grid);
+      self.forward(grid);
   });
 }
 

@@ -1,28 +1,38 @@
 // Three-dimensional complex FFT over a periodic box, built from the 1D
-// planner. This is the transform that moves wavefunctions and densities
-// between real space and reciprocal (q) space, and the kernel behind
-// GENPOT's global Poisson solve.
+// Stockham kernel (fft/fft.h). This is the transform that moves
+// wavefunctions and densities between real space and reciprocal (q)
+// space, and the kernel behind GENPOT's global Poisson solve.
 //
 // Data layout: row-major with z fastest, i.e. index(ix,iy,iz) =
 // (ix*n2 + iy)*n3 + iz, matching Grid3D.
 //
+// Axis passes, all in place and without gather buffers:
+//   z: n1*n2 contiguous rows, one line each;
+//   y: per x-slab, one multi-line pass over n3 interleaved lines
+//      (element iy of line iz at slab[iy*n3 + iz]);
+//   x: one multi-line pass over all n2*n3 interleaved lines (element ix
+//      of line l at data[ix*n2*n3 + l]).
+// The multi-line layout is the 1D kernel's "vector rank": its innermost
+// loops run over lines, contiguous in memory.
+//
 // Axis order: forward transforms apply z, then y, then x; the inverse
 // applies x, then y, then z. Per-axis line transforms commute exactly in
 // real arithmetic but not in floating point, so the order is part of the
-// bit-level contract: the slab-distributed DistFft3D (fft/dist_fft3d.h)
-// reproduces this dense transform bit for bit by running z and y locally
-// per x-slab and crossing the single pencil transpose for the x axis, in
-// both directions.
+// bit-level contract. The other half of the contract is the 1D kernel's:
+// a line gets the same arithmetic alone as inside a multi-line pass. The
+// slab-distributed DistFft3D (fft/dist_fft3d.h) relies on both to
+// reproduce this dense transform bit for bit: it runs z and y locally per
+// x-slab and the x axis one pencil row at a time across the single
+// pencil transpose, in both directions.
 //
 // Like the 1D planner, the 3D transform is templated over the real type:
 // BasicFft3D<double> (alias Fft3D) is the bit-exact engine path,
 // BasicFft3D<float> (alias Fft3DF) the single-precision plan behind the
 // mixed-precision Davidson fast path. Both share the axis-order contract.
 //
-// Thread safety: transforms reuse internal scratch (no allocation per
-// call), so concurrent transform() calls on one instance race. Use one
-// instance per thread — the per-thread plan cache (fft/plan_cache.h)
-// exists for exactly this.
+// Thread safety: a plan holds only its 1D tables and the pass scratch is
+// thread-local (fft/fft.h), so transforms allocate nothing after a
+// thread's first call and one instance may be used from several threads.
 #pragma once
 
 #include <memory>
@@ -54,12 +64,12 @@ class BasicFft3D {
   // Many-transform sweep over a contiguous stack of `count` grids of this
   // shape (stack[g * size() .. (g+1) * size())). Transforms are
   // independent, so the sweep fans out over min(n_workers, count) lanes
-  // of the shared pool; each lane transforms through its *own*
-  // thread-local cached plan (fft/plan_cache.h), so no scratch is shared
-  // and each grid's arithmetic is exactly what a serial forward()/
-  // inverse() call would produce — results are bit-identical for any
-  // n_workers. This is the transform shape the batched fragment solver
-  // feeds: one sweep serves every band of every fragment in a batch.
+  // of the shared pool. Each lane runs this plan with its own
+  // thread-local pass scratch, so each grid's arithmetic is exactly what
+  // a serial forward()/inverse() call would produce — results are
+  // bit-identical for any n_workers. This is the transform shape the
+  // batched fragment solver feeds: one sweep serves every band of every
+  // fragment in a batch.
   void forward_many(Cplx* stack, int count, int n_workers = 1) const;
   void inverse_many(Cplx* stack, int count, int n_workers = 1) const;
 
@@ -71,7 +81,6 @@ class BasicFft3D {
 
   Vec3i shape_;
   BasicFft1D<Real> fx_, fy_, fz_;
-  mutable std::vector<Cplx> scratch_;  // strided-axis gather buffer
 };
 
 using Fft3D = BasicFft3D<double>;

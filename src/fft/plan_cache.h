@@ -7,11 +7,12 @@
 // plan once per (thread, shape) and keeps it warm across SCF
 // iterations, exactly like the eigensolver arenas.
 //
-// Plans are cached per *thread* on purpose: Fft3D transforms use
-// internal scratch, so a shared instance would race. They are cached
-// per FftPlanCache *instance* so that solver instances own their plan
-// state (the SolverService prerequisite — no cross-tenant global
-// state): each Ls3dfSolver carries its own cache and installs it in
+// Plans are cached per *thread*: each lane keeps its own warm plans
+// and looks them up without a lock (the transforms themselves hold no
+// mutable state; their pass scratch is thread-local, fft/fft.h). They
+// are cached per FftPlanCache *instance* so that solver instances own
+// their plan state (the SolverService prerequisite — no cross-tenant
+// global state): each Ls3dfSolver carries its own cache and installs it in
 // the thread-local ObsContext (obs/context.h) around everything it
 // runs. The free functions below route through that context, falling
 // back to a process-default cache when none is installed, so call
@@ -81,10 +82,9 @@ const Fft3DF& fft_plan_f32(Vec3i shape);
 const Fft1D& fft1d_plan(int n);
 
 // Many-transform sweep over a contiguous stack of `count` same-shape
-// grids through the cached plans: the calling thread's plan drives the
-// sweep and each worker lane transforms via its own thread-local plan
-// (see Fft3D::forward_many). Results are bit-identical to `count` serial
-// single-grid transforms for any n_workers.
+// grids through the calling thread's cached plan, fanned out over
+// n_workers lanes (see Fft3D::forward_many). Results are bit-identical
+// to `count` serial single-grid transforms for any n_workers.
 void fft_forward_many(Vec3i shape, cplx* stack, int count, int n_workers = 1);
 void fft_inverse_many(Vec3i shape, cplx* stack, int count, int n_workers = 1);
 

@@ -1097,7 +1097,7 @@ std::size_t Ls3dfSolver::shard_rank_footprint(int r) const {
   if (!shards_) return 0;
   const ShardState& s = *shards_;
   // Double-equivalents held by rank r across the persistent sharded
-  // state: real field slabs, the FFT's complex slab/pencil/line scratch,
+  // state: real field slabs, the FFT's complex slab and pencil blocks,
   // and the transport lanes destined for r. Every term is proportional
   // to global/N — the sharded pipeline's memory contract. Under SPMD a
   // process holds only its own rank's state, so only the local rank's
@@ -1111,8 +1111,7 @@ std::size_t Ls3dfSolver::shard_rank_footprint(int r) const {
   const ShardedFieldR* fields[] = {&s.vion, &s.rho,  &s.vh,   &s.vxc,
                                    &s.v_scratch, &s.v_in, &s.v_out};
   for (const ShardedFieldR* f : fields) doubles += f->slab(r).size();
-  doubles += 2 * (s.fft.slab_size(r) + s.fft.pencil_size(r) +
-                  s.fft.scratch_size(r));
+  doubles += 2 * (s.fft.slab_size(r) + s.fft.pencil_size(r));
   doubles += 2 * s.comm.rank_box_elements(r);
   if (s.spmd) doubles += s.spmd->halo.size();
   return doubles;

@@ -207,9 +207,11 @@ struct Ls3dfOptions {
   // Barrier-free inner iteration: run each outer SCF iteration as a
   // TaskGraph of per-batch restrict -> solve -> patch chains with
   // ordered slab commits (see the architecture block above). Requires
-  // batching (batch_width > 0) and a non-SPMD transport; otherwise the
-  // phased path runs. false keeps the phased loop for A/B — results are
-  // bit-identical either way.
+  // batching (batch_width > 0) and at least one fragment; otherwise the
+  // phased path runs. Any transport qualifies, SPMD included: the gate
+  // reads only options and the global fragment count, so every rank
+  // takes the same path. false keeps the phased loop for A/B — results
+  // are bit-identical either way.
   bool overlap = true;
   // Live inner-lane donation (parallel/scheduler.h, LaneBudget): batched
   // PEtot_F solves draw their inner-lane width from a live budget shared

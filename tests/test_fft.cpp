@@ -1,11 +1,14 @@
 // FFT tests: analytic DFTs, round trips, Parseval, linearity, shift
-// theorem, smooth and non-smooth (Bluestein) sizes, and the 3D transform
-// on the grid shapes the DFT engine uses (including the paper's 40^3 and
-// 32^3 per-cell grids).
+// theorem, smooth and non-smooth (Bluestein) sizes, normalised error
+// bounds against a long-double DFT for every length class in fp64 and
+// fp32, multi-line vs per-line bit identity, and the 3D transform on the
+// grid shapes the DFT engine uses (including the paper's 40^3 and 32^3
+// per-cell grids).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <vector>
 
 #include "common/constants.h"
@@ -32,10 +35,13 @@ std::vector<cplx> dft_reference(const std::vector<cplx>& x, int sign) {
   return out;
 }
 
-std::vector<cplx> random_signal(int n, std::uint64_t seed) {
+template <typename Real = double>
+std::vector<std::complex<Real>> random_signal(int n, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<cplx> x(n);
-  for (auto& v : x) v = cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
+  std::vector<std::complex<Real>> x(n);
+  for (auto& v : x)
+    v = std::complex<Real>(static_cast<Real>(rng.uniform(-1, 1)),
+                           static_cast<Real>(rng.uniform(-1, 1)));
   return x;
 }
 
@@ -188,6 +194,145 @@ TEST(Fft1D, GoodFftSize) {
   }
 }
 
+// Normalised acceptance bounds, in the style of a BLAS gemm checker:
+// each error is divided by the scale of the problem and compared with a
+// small multiple of the real type's machine epsilon, so one bound holds
+// for every length and both precisions. Forward: max_k |X_k - ref_k| <=
+// c log2(n) eps ||x||_2 against a long-double naive DFT; round trip:
+// ||inverse(forward(x)) - x||_2 <= c log2(n) eps ||x||_2.
+constexpr double kFftBoundFactor = 4.0;
+
+using cplxl = std::complex<long double>;
+
+template <typename Real>
+cplxl widen(std::complex<Real> v) {
+  return cplxl(v.real(), v.imag());
+}
+
+template <typename Real>
+long double norm2(const std::vector<std::complex<Real>>& x) {
+  long double s = 0;
+  for (const auto& v : x) s += std::norm(widen(v));
+  return std::sqrt(s);
+}
+
+// Forward DFT of x in long double, roots tabulated once per length.
+template <typename Real>
+std::vector<cplxl> dft_long_double(const std::vector<std::complex<Real>>& x) {
+  const int n = static_cast<int>(x.size());
+  const long double two_pi = 6.283185307179586476925286766559L;
+  std::vector<cplxl> root(n);
+  for (int k = 0; k < n; ++k) {
+    const long double ang = -two_pi * k / n;
+    root[k] = cplxl(std::cos(ang), std::sin(ang));
+  }
+  std::vector<cplxl> out(n);
+  for (int k = 0; k < n; ++k) {
+    cplxl acc(0, 0);
+    for (int j = 0, e = 0; j < n; ++j, e = (e + k) % n)
+      acc += widen(x[j]) * root[e];
+    out[k] = acc;
+  }
+  return out;
+}
+
+struct FftErrors {
+  double forward;     // max_k |X_k - ref_k| / (log2(n) eps ||x||_2)
+  double round_trip;  // ||x' - x||_2 / (log2(n) eps ||x||_2)
+};
+
+template <typename Real>
+FftErrors normalised_errors(int n, std::uint64_t seed) {
+  const auto x = random_signal<Real>(n, seed);
+  const std::vector<cplxl> ref = dft_long_double(x);
+  BasicFft1D<Real> plan(n);
+  auto y = x;
+  plan.forward(y);
+  long double fwd = 0;
+  for (int k = 0; k < n; ++k)
+    fwd = std::max(fwd, std::abs(widen(y[k]) - ref[k]));
+  plan.inverse(y);
+  long double rt = 0;
+  for (int k = 0; k < n; ++k) rt += std::norm(widen(y[k]) - widen(x[k]));
+  const long double scale = std::max(1.0, std::log2(static_cast<double>(n))) *
+                            std::numeric_limits<Real>::epsilon() * norm2(x);
+  return {static_cast<double>(fwd / scale),
+          static_cast<double>(std::sqrt(rt) / scale)};
+}
+
+class FftBounds : public ::testing::TestWithParam<int> {};
+
+TEST_P(FftBounds, Fp64WithinLogNEpsilon) {
+  const int n = GetParam();
+  const FftErrors e = normalised_errors<double>(n, 300 + n);
+  EXPECT_LE(e.forward, kFftBoundFactor) << "n = " << n;
+  EXPECT_LE(e.round_trip, kFftBoundFactor) << "n = " << n;
+}
+
+TEST_P(FftBounds, Fp32WithinLogNEpsilon) {
+  const int n = GetParam();
+  const FftErrors e = normalised_errors<float>(n, 600 + n);
+  EXPECT_LE(e.forward, kFftBoundFactor) << "n = " << n;
+  EXPECT_LE(e.round_trip, kFftBoundFactor) << "n = " << n;
+}
+
+// Every length class: 1, 2^k, 3*2^k, 5*2^k, other 7-smooth lengths, and
+// Bluestein lengths (primes up to 997 and prime-factor composites).
+INSTANTIATE_TEST_SUITE_P(
+    LengthClasses, FftBounds,
+    ::testing::Values(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024,  //
+                      3, 6, 12, 24, 48, 96, 192, 384, 768,           //
+                      5, 10, 20, 40, 80, 160, 320, 640,              //
+                      7, 9, 14, 21, 35, 49, 63, 105, 210, 343, 420, 945,
+                      1000,                                          //
+                      11, 13, 17, 31, 97, 101, 257, 509, 997, 22, 143));
+
+// A line transformed inside a multi-line pass must be bit-identical to
+// the same line transformed alone: the contract that keeps DistFft3D ==
+// Fft3D and forward_many == serial transforms exact.
+template <typename Real>
+void expect_lines_match_single(int n, int howmany) {
+  using C = std::complex<Real>;
+  BasicFft1D<Real> plan(n);
+  const auto x = random_signal<Real>(n * howmany, 900 + n + howmany);
+  for (bool inv : {false, true}) {
+    auto many = x;
+    if (inv)
+      plan.inverse_lines(many.data(), howmany);
+    else
+      plan.forward_lines(many.data(), howmany);
+    for (int l = 0; l < howmany; ++l) {
+      std::vector<C> line(n);
+      for (int i = 0; i < n; ++i)
+        line[i] = x[static_cast<std::size_t>(i) * howmany + l];
+      if (inv)
+        plan.inverse(line);
+      else
+        plan.forward(line);
+      for (int i = 0; i < n; ++i)
+        ASSERT_EQ(many[static_cast<std::size_t>(i) * howmany + l], line[i])
+            << "n=" << n << " howmany=" << howmany << " line=" << l
+            << " i=" << i << (inv ? " inverse" : " forward");
+    }
+  }
+}
+
+class FftLines : public ::testing::TestWithParam<int> {};
+
+TEST_P(FftLines, MultiLineBitIdenticalToPerLine) {
+  const int n = GetParam();
+  for (int howmany : {1, 3, 64}) {
+    expect_lines_match_single<double>(n, howmany);
+    expect_lines_match_single<float>(n, howmany);
+  }
+}
+
+// Includes lengths long enough that 64 lines run in several blocks
+// (128, 360, 1000) and Bluestein lengths (11, 97).
+INSTANTIATE_TEST_SUITE_P(Lengths, FftLines,
+                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 24, 40, 63,
+                                           128, 360, 1000, 11, 97));
+
 TEST(Fft3D, RoundTrip) {
   const Vec3i shape{8, 6, 10};
   Fft3D plan(shape);
@@ -305,8 +450,8 @@ TEST(Fft3D, MatchesSeparable1DTransforms) {
 
 TEST(Fft3DMany, BitIdenticalToSingleTransforms) {
   // The many-transform sweep of the batched fragment path must reproduce
-  // per-grid transforms exactly, for any worker count (each lane
-  // transforms through its own thread-local plan).
+  // per-grid transforms exactly, for any worker count (each lane runs
+  // the plan with its own thread-local pass scratch).
   const Vec3i shape{6, 4, 5};
   Fft3D plan(shape);
   const int count = 7;
