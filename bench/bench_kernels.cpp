@@ -7,7 +7,8 @@
 // Besides the interactive google-benchmark tables, the binary writes a
 // machine-readable summary (name, wall_ms, flops per entry) to
 // BENCH_kernels.json — override the path with --json=PATH — so the perf
-// trajectory can be tracked across PRs. The summary includes the PEtot_F
+// trajectory can be tracked across PRs. The summary includes the
+// Rayleigh-Ritz subspace eigh at n = 24 (eigh_24) and the PEtot_F
 // engine scaling probe: wall time at n_workers = 1 vs 4 on an 8-fragment
 // division, plus the resulting speedup (>= 1.5x expected on >= 4 cores;
 // on a single-core host it reports ~1.0), and the batched-vs-looped
@@ -58,6 +59,7 @@
 #include "fragment/ls3df.h"
 #include "grid/sharded_field.h"
 #include "linalg/blas.h"
+#include "linalg/eigen.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/shard_comm.h"
@@ -316,6 +318,28 @@ void BM_OrthonormalizeGramSchmidt(benchmark::State& state) {
 }
 BENCHMARK(BM_OrthonormalizeGramSchmidt);
 
+// Hermitian matrix with the given lower triangle's random entries.
+MatC random_hermitian(int n, std::uint64_t seed) {
+  MatC A = random_matc(n, n, seed);
+  for (int j = 0; j < n; ++j) {
+    A(j, j) = A(j, j).real();
+    for (int i = j + 1; i < n; ++i) A(j, i) = std::conj(A(i, j));
+  }
+  return A;
+}
+
+// The Rayleigh-Ritz subspace eigh of every Davidson step: (<= 2 nb)^2.
+void BM_Eigh(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const MatC A = random_hermitian(n, 11);
+  EigenScratch ws;
+  for (auto _ : state) {
+    EighView v = eigh(A, ws);
+    benchmark::DoNotOptimize(v.eigenvectors->data());
+  }
+}
+BENCHMARK(BM_Eigh)->Arg(10)->Arg(24)->Arg(32);
+
 // ---------------------------------------------------------------------------
 // Machine-readable kernel summary.
 
@@ -420,6 +444,13 @@ std::vector<JsonEntry> kernel_summary() {
     h.set_flop_counter(nullptr);
     const double ms = time_best_ms(3, [&]() { h.apply(psi, hpsi); });
     out.push_back({"hamiltonian_apply_16", ms, flops});
+  }
+  {
+    // Subspace eigh at the alloy's Rayleigh-Ritz size (2 x 12 bands).
+    const MatC A = random_hermitian(24, 11);
+    EigenScratch ws;
+    const double ms = time_best_ms(20, [&]() { eigh(A, ws); });
+    out.push_back({"eigh_24", ms, 0});
   }
 
   {

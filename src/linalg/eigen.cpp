@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -11,100 +12,189 @@ namespace ls3df {
 namespace {
 using cd = std::complex<double>;
 
-// One Jacobi rotation zeroing A(p,q). For a Hermitian matrix the 2x2 block
-// [a_pp, a_pq; conj(a_pq), a_qq] is diagonalized by a complex rotation
-// R = [c, s; -conj(s), c] with real c.
-struct JacobiRot {
-  double c;
-  cd s;
-};
+constexpr double kEps = std::numeric_limits<double>::epsilon();
 
-JacobiRot compute_rotation(double app, double aqq, cd apq) {
-  const double absapq = std::abs(apq);
-  if (absapq == 0.0) return {1.0, cd(0, 0)};
-  const cd phase = apq / absapq;
-  const double tau = (aqq - app) / (2.0 * absapq);
-  // tan(theta) root with smaller magnitude for stability.
-  const double t = (tau >= 0 ? 1.0 : -1.0) /
-                   (std::abs(tau) + std::sqrt(1.0 + tau * tau));
-  const double c = 1.0 / std::sqrt(1.0 + t * t);
-  return {c, phase * (t * c)};
+// sqrt(a^2 + b^2) without std::hypot's cost in the common range; falls
+// back to it where the plain sum would overflow or lose precision to
+// underflow.
+double pythag(double a, double b) {
+  const double s = a * a + b * b;
+  if (s > 1e-290 && s < 1e290) return std::sqrt(s);
+  return std::hypot(a, b);
 }
 
-// Jacobi eigendecomposition into caller-provided storage. Shared by the
-// allocating and arena-backed entry points so both produce bit-identical
-// results. M/V/evecs are fully overwritten; no input state survives.
-void eigh_core(const MatC& A, MatC& M, MatC& V, std::vector<int>& order,
-               std::vector<double>& evals, MatC& evecs) {
+// Dense Hermitian eigendecomposition into scratch-resident storage:
+//   1. copy the lower triangle into M (real diagonal);
+//   2. reduce M to a real symmetric tridiagonal (d, e) with Householder
+//      reflectors H_i = I - tau_i v v^H (LAPACK zhetd2, lower), each one
+//      chosen so its beta is real — including the last, length-1 one —
+//      and accumulate Q = H_0 ... H_{n-2} backwards (zungtr);
+//   3. implicit shifted QL on (d, e) (zsteqr / tql2), every Givens
+//      rotation applied to Q's complex columns;
+//   4. sort ascending into (evals, evecs).
+// Non-finite input or QL non-convergence throws std::runtime_error.
+void eigh_core(const MatC& A, EigenScratch& ws) {
   const int n = A.rows();
   assert(A.cols() == n);
-  M.reshape(n, n);
-  // Symmetrize from the lower triangle.
+  MatC& M = ws.mat(EigenScratch::kM, n, n);
+  MatC& Q = ws.mat(EigenScratch::kV, n, n);
+  std::vector<double>& d = ws.dvec(EigenScratch::kDiag, n);
+  std::vector<double>& e = ws.dvec(EigenScratch::kOffdiag, n);
+  std::vector<cd>& tau = ws.cvec(EigenScratch::kTau, n);
+  std::vector<cd>& w = ws.cvec(EigenScratch::kWork, n);
+
+  // 1. Lower triangle only; the upper triangle of M is never read.
   for (int j = 0; j < n; ++j) {
-    M(j, j) = cd(A(j, j).real(), 0.0);
-    for (int i = j + 1; i < n; ++i) {
-      M(i, j) = A(i, j);
-      M(j, i) = std::conj(A(i, j));
+    const cd* a = A.col(j);
+    cd* m = M.col(j);
+    m[j] = cd(a[j].real(), 0.0);
+    for (int i = j + 1; i < n; ++i) m[i] = a[i];
+    for (int i = j; i < n; ++i)
+      if (!std::isfinite(a[i].real()) || !std::isfinite(a[i].imag()))
+        throw std::runtime_error("eigh: non-finite matrix entry");
+  }
+
+  // 2. Householder tridiagonalization. Step i annihilates M(i+2:n, i);
+  // v = (1, M(i+2:n, i)) spans the trailing block rows i+1..n-1.
+  for (int i = 0; i + 1 < n; ++i) {
+    const int len = n - i - 1;
+    cd* v = M.col(i) + i + 1;
+    const cd alpha = v[0];
+    double xnorm2 = 0;
+    for (int k = 1; k < len; ++k) xnorm2 += std::norm(v[k]);
+    cd t{};
+    double beta = alpha.real();
+    if (xnorm2 != 0.0 || alpha.imag() != 0.0) {
+      const double r = std::sqrt(std::norm(alpha) + xnorm2);
+      beta = alpha.real() >= 0 ? -r : r;
+      t = cd((beta - alpha.real()) / beta, -alpha.imag() / beta);
+      const cd scale = 1.0 / (alpha - beta);
+      for (int k = 1; k < len; ++k) v[k] *= scale;
     }
-  }
-  V.reshape(n, n);
-  for (int j = 0; j < n; ++j) {
-    cd* vj = V.col(j);
-    std::fill(vj, vj + n, cd{});
-    vj[j] = cd(1.0, 0.0);
-  }
-
-  auto off_norm = [&]() {
-    double s = 0;
-    for (int j = 0; j < n; ++j)
-      for (int i = j + 1; i < n; ++i) s += std::norm(M(i, j));
-    return std::sqrt(2.0 * s);
-  };
-
-  const int max_sweeps = 60;
-  double scale = 0;
-  for (int j = 0; j < n; ++j)
-    for (int i = 0; i < n; ++i) scale = std::max(scale, std::abs(M(i, j)));
-  const double tol = 1e-14 * std::max(scale, 1.0);
-
-  for (int sweep = 0; sweep < max_sweeps && off_norm() > tol * n; ++sweep) {
-    for (int p = 0; p < n - 1; ++p) {
-      for (int q = p + 1; q < n; ++q) {
-        const cd apq = M(p, q);
-        if (std::abs(apq) <= tol * 1e-2) continue;
-        const auto [c, s] =
-            compute_rotation(M(p, p).real(), M(q, q).real(), apq);
-        // Apply R^H M R where R mixes columns/rows p and q.
-        for (int k = 0; k < n; ++k) {
-          const cd mkp = M(k, p), mkq = M(k, q);
-          M(k, p) = c * mkp - std::conj(s) * mkq;
-          M(k, q) = s * mkp + c * mkq;
+    tau[i] = t;
+    e[i] = beta;
+    if (t != cd{}) {
+      v[0] = 1.0;
+      // w = t * B v with B = M(i+1:n, i+1:n) read from its lower triangle.
+      cd* wv = w.data();
+      std::fill(wv, wv + len, cd{});
+      for (int c = 0; c < len; ++c) {
+        const cd* b = M.col(i + 1 + c) + i + 1;
+        const cd vc = v[c];
+        cd acc = b[c].real() * vc;
+        for (int r = c + 1; r < len; ++r) {
+          wv[r] += b[r] * vc;
+          acc += std::conj(b[r]) * v[r];
         }
-        for (int k = 0; k < n; ++k) {
-          const cd mpk = M(p, k), mqk = M(q, k);
-          M(p, k) = c * mpk - s * mqk;
-          M(q, k) = std::conj(s) * mpk + c * mqk;
-        }
-        for (int k = 0; k < n; ++k) {
-          const cd vkp = V(k, p), vkq = V(k, q);
-          V(k, p) = c * vkp - std::conj(s) * vkq;
-          V(k, q) = s * vkp + c * vkq;
-        }
+        wv[c] += acc;
+      }
+      cd vhw{};
+      for (int k = 0; k < len; ++k) {
+        wv[k] *= t;
+        vhw += std::conj(wv[k]) * v[k];
+      }
+      // w -= (t/2)(w^H v) v, then B -= v w^H + w v^H (lower triangle).
+      const cd shift = -0.5 * t * vhw;
+      for (int k = 0; k < len; ++k) wv[k] += shift * v[k];
+      for (int c = 0; c < len; ++c) {
+        cd* b = M.col(i + 1 + c) + i + 1;
+        const cd wc = std::conj(wv[c]), vc = std::conj(v[c]);
+        for (int r = c; r < len; ++r) b[r] -= v[r] * wc + wv[r] * vc;
+        b[c] = cd(b[c].real(), 0.0);
       }
     }
+    d[i] = M(i, i).real();
+  }
+  if (n > 0) d[n - 1] = M(n - 1, n - 1).real();
+
+  // Q = H_0 H_1 ... H_{n-2}, accumulated from the last reflector back so
+  // each H_i touches only the trailing block it acts on.
+  for (int j = 0; j < n; ++j) {
+    cd* q = Q.col(j);
+    std::fill(q, q + n, cd{});
+    q[j] = 1.0;
+  }
+  for (int i = n - 2; i >= 0; --i) {
+    const cd t = tau[i];
+    if (t == cd{}) continue;
+    const int len = n - i - 1;
+    cd* v = M.col(i) + i + 1;
+    v[0] = 1.0;
+    for (int c = i + 1; c < n; ++c) {
+      cd* q = Q.col(c) + i + 1;
+      cd z{};
+      for (int k = 0; k < len; ++k) z += std::conj(v[k]) * q[k];
+      z *= t;
+      for (int k = 0; k < len; ++k) q[k] -= z * v[k];
+    }
   }
 
-  // Sort ascending by eigenvalue.
-  order.resize(n);
+  // 3. Implicit shifted QL. e[m] couples d[m] and d[m+1]; e[n-1] = 0.
+  if (n > 0) e[n - 1] = 0.0;
+  const int max_iter = 30 * std::max(n, 1);
+  int iter = 0;
+  for (int l = 0; l < n; ++l) {
+    for (;;) {
+      int m = l;
+      for (; m + 1 < n; ++m) {
+        const double dd = std::abs(d[m]) + std::abs(d[m + 1]);
+        if (std::abs(e[m]) <= kEps * dd ||
+            std::abs(e[m]) < std::numeric_limits<double>::min())
+          break;
+      }
+      if (m == l) break;
+      if (++iter > max_iter)
+        throw std::runtime_error("eigh: QL iteration did not converge");
+      double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+      double r = pythag(g, 1.0);
+      g = d[m] - d[l] + e[l] / (g + (g >= 0 ? r : -r));
+      double s = 1.0, c = 1.0, p = 0.0;
+      bool deflated = false;
+      for (int i = m - 1; i >= l; --i) {
+        const double f = s * e[i], b = c * e[i];
+        r = pythag(f, g);
+        e[i + 1] = r;
+        if (r == 0.0) {
+          // Underflow splits the block: recover and restart at l.
+          d[i + 1] -= p;
+          e[m] = 0.0;
+          deflated = true;
+          break;
+        }
+        s = f / r;
+        c = g / r;
+        g = d[i + 1] - p;
+        r = (d[i] - g) * s + 2.0 * c * b;
+        p = s * r;
+        d[i + 1] = g + p;
+        g = c * r - b;
+        cd* q0 = Q.col(i);
+        cd* q1 = Q.col(i + 1);
+        for (int k = 0; k < n; ++k) {
+          const cd f1 = q1[k];
+          q1[k] = s * q0[k] + c * f1;
+          q0[k] = c * q0[k] - s * f1;
+        }
+      }
+      if (deflated) continue;
+      d[l] -= p;
+      e[l] = g;
+      e[m] = 0.0;
+    }
+  }
+
+  // 4. Sort ascending.
+  std::vector<int>& order = ws.ivec(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return M(a, a).real() < M(b, b).real(); });
-
-  evals.resize(n);
-  evecs.reshape(n, n);
+            [&](int a, int b) { return d[a] < d[b]; });
+  std::vector<double>& evals = ws.dvec(EigenScratch::kEvals, n);
+  MatC& evecs = ws.mat(EigenScratch::kEvecs, n, n);
   for (int j = 0; j < n; ++j) {
-    evals[j] = M(order[j], order[j]).real();
-    for (int i = 0; i < n; ++i) evecs(i, j) = V(i, order[j]);
+    evals[j] = d[order[j]];
+    if (!std::isfinite(evals[j]))
+      throw std::runtime_error("eigh: non-finite eigenvalue");
+    std::copy(Q.col(order[j]), Q.col(order[j]) + n, evecs.col(j));
   }
 }
 
@@ -149,47 +239,37 @@ MatC& EigenScratch::mat(int slot, int rows, int cols) {
   return mats_[slot];
 }
 
-std::vector<double>& EigenScratch::dvec(int n) {
-  if (static_cast<std::size_t>(n) > dvec_peak_) {
-    dvec_peak_ = n;
-    ++allocs_;
-  }
-  dvec_.resize(n);
-  return dvec_;
+std::vector<double>& EigenScratch::dvec(int slot, int n) {
+  assert(slot >= 0 && slot < kDvecs);
+  return grow(dvecs_[slot], dvec_peak_[slot], n);
+}
+
+std::vector<cd>& EigenScratch::cvec(int slot, int n) {
+  assert(slot >= 0 && slot < kCvecs);
+  return grow(cvecs_[slot], cvec_peak_[slot], n);
 }
 
 std::vector<int>& EigenScratch::ivec(int n) {
-  if (static_cast<std::size_t>(n) > ivec_peak_) {
-    ivec_peak_ = n;
-    ++allocs_;
-  }
-  ivec_.resize(n);
-  return ivec_;
+  return grow(ivec_, ivec_peak_, n);
 }
 
 void EigenScratch::reserve(int dim) {
   for (int slot = 0; slot < kSlots; ++slot) mat(slot, dim, dim);
-  dvec(dim);
+  for (int slot = 0; slot < kDvecs; ++slot) dvec(slot, dim);
+  for (int slot = 0; slot < kCvecs; ++slot) cvec(slot, dim);
   ivec(dim);
 }
 
 EighResult eigh(const MatC& A) {
-  MatC M, V;
-  std::vector<int> order;
-  EighResult result;
-  eigh_core(A, M, V, order, result.eigenvalues, result.eigenvectors);
-  return result;
+  EigenScratch ws;
+  const EighView v = eigh(A, ws);
+  return EighResult{*v.eigenvalues, *v.eigenvectors};
 }
 
 EighView eigh(const MatC& A, EigenScratch& ws) {
-  const int n = A.rows();
-  MatC& M = ws.mat(EigenScratch::kM, n, n);
-  MatC& V = ws.mat(EigenScratch::kV, n, n);
-  MatC& evecs = ws.mat(EigenScratch::kEvecs, n, n);
-  std::vector<int>& order = ws.ivec(n);
-  std::vector<double>& evals = ws.dvec(n);
-  eigh_core(A, M, V, order, evals, evecs);
-  return EighView{&evals, &evecs};
+  eigh_core(A, ws);
+  return EighView{&ws.dvec(EigenScratch::kEvals, A.rows()),
+                  &ws.mat(EigenScratch::kEvecs, A.rows(), A.rows())};
 }
 
 EighResultReal eigh(const MatR& A) {

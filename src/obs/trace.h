@@ -91,7 +91,7 @@ namespace ls3df {
 enum class TraceCat : std::uint16_t {
   kPhase = 0,       // solver phase windows (Gen_VF, PEtot_F, ...)
   kNode = 1,        // TaskGraph nodes of the overlapped iteration
-  kPool = 2,        // ThreadPool lane activity (queued task execution)
+  kPool = 2,        // ThreadPool lane activity (batch task execution)
   kCollective = 3,  // ShardComm/Transport collective phases
   kSolver = 4,      // eigensolver sweeps, outer iterations
   kCheckpoint = 5,  // snapshot writes

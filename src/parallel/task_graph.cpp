@@ -78,50 +78,66 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
     // destroy this closure; nothing may read captures after that point,
     // so take the pool address into a local up front.
     ThreadPool* const pool_ptr = &pool;
-    bool skip;
-    {
-      std::unique_lock<std::mutex> lock(st.mu);
-      skip = st.abandoned;
-    }
-    bool ok = false;
-    double t0 = 0, t1 = 0;
-    if (!skip) {
-      t0 = clock.seconds();
-      try {
-        tasks_[id].fn();
-        t1 = clock.seconds();
-        ok = true;
-      } catch (...) {
+    for (;;) {
+      bool skip;
+      {
         std::unique_lock<std::mutex> lock(st.mu);
-        if (!st.error) st.error = std::current_exception();
-        st.abandoned = true;
-        st.ready.clear();
+        skip = st.abandoned;
       }
-      if (ok && observer_) observer_(id, t0, t1);
-    }
-    std::vector<int> to_post;
-    bool done;
-    {
-      std::unique_lock<std::mutex> lock(st.mu);
-      --st.inflight;
-      if (ok) {
-        --st.remaining;
-        if (!st.abandoned)
-          for (int d : tasks_[id].dependents)
-            if (--st.deps_left[d] == 0) st.ready.push_back(d);
+      bool ok = false;
+      double t0 = 0, t1 = 0;
+      if (!skip) {
+        t0 = clock.seconds();
+        try {
+          tasks_[id].fn();
+          t1 = clock.seconds();
+          ok = true;
+        } catch (...) {
+          std::unique_lock<std::mutex> lock(st.mu);
+          if (!st.error) st.error = std::current_exception();
+          st.abandoned = true;
+          st.ready.clear();
+        }
+        if (ok && observer_) observer_(id, t0, t1);
       }
-      to_post = claim(lock);
-      done = st.remaining == 0 || (st.abandoned && st.inflight == 0);
-      if (done) st.finished.store(true, std::memory_order_release);
+      std::vector<int> to_post;
+      bool done;
+      {
+        std::unique_lock<std::mutex> lock(st.mu);
+        --st.inflight;
+        if (ok) {
+          --st.remaining;
+          if (!st.abandoned)
+            for (int d : tasks_[id].dependents)
+              if (--st.deps_left[d] == 0) st.ready.push_back(d);
+        }
+        to_post = claim(lock);
+        done = st.remaining == 0 || (st.abandoned && st.inflight == 0);
+      }
+      if (done) {
+        // Nothing is claimable once the graph finished, so to_post is
+        // empty. Publishing completion is this task's last access to
+        // `st`: the runner may return and the next run() rebuild its
+        // state at the same address, so the store must come after the
+        // lock scope (an unlock after it would touch a dead mutex). Wake
+        // the runner after that (wake() takes the pool lock; taking it
+        // while holding st.mu would invert the order help_while uses).
+        // Locals only.
+        st.finished.store(true, std::memory_order_release);
+        pool_ptr->wake();
+        return;
+      }
+      if (to_post.empty()) return;
+      // Continue on this lane with the top of the ready stack — a
+      // chain's successor runs without a queue round trip and the
+      // wake-up latency of whichever lane would dequeue it. It stays
+      // claimed, so the graph (and this closure) outlive it.
+      id = to_post.front();
+      for (std::size_t k = 1; k < to_post.size(); ++k) {
+        const int next = to_post[k];
+        pool_ptr->post([&exec, next]() { exec(next); });
+      }
     }
-    // `done` implies to_post is empty (nothing is claimable once the
-    // graph finished), so the closure reads below happen only while the
-    // graph — and therefore this closure — is still alive.
-    for (int next : to_post) pool_ptr->post([&exec, next]() { exec(next); });
-    // Wake the runner after releasing the graph lock (wake() takes the
-    // pool lock; taking it while holding st.mu would invert the order
-    // help_while uses). Locals only: the runner may already be gone.
-    if (done) pool_ptr->wake();
   };
 
   std::vector<int> first;

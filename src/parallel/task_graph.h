@@ -7,15 +7,15 @@
 // never starting a task before all of its dependencies have finished,
 // and running independent tasks concurrently on the pool. Scheduling is
 // *dynamic*: every ready task is posted to the pool as its own unit of
-// work, and a finishing task arms (posts) exactly the successors its
-// completion made ready. No lane ever parks waiting for graph state, so
-// task bodies are free to use the pool themselves (parallel_for, nested
-// run_batch, ShardComm phases) — a nested helper that steals another
-// graph task simply runs it to completion. The ready set is a LIFO
-// stack: newly armed successors are claimed before older roots, so
-// execution runs depth-first down chains — bounding the live working
-// set and keeping pipelines interleaved even when one lane serializes
-// the whole graph. The runner participates through
+// work, and a finishing task arms exactly the successors its completion
+// made ready — it runs the first itself and posts the rest. No lane
+// ever parks waiting for graph state, so task bodies are free to use the
+// pool themselves (parallel_for, nested run_batch, ShardComm phases) — a
+// nested helper that steals another graph task simply runs it to
+// completion. The ready set is a LIFO stack: newly armed successors are
+// claimed before older roots, so execution runs depth-first down chains
+// — bounding the live working set and keeping pipelines interleaved even
+// when one lane serializes the whole graph. The runner participates through
 // ThreadPool::help_while, so a 0-thread pool executes the whole graph
 // on the calling thread.
 //

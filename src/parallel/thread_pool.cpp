@@ -40,14 +40,21 @@ long ThreadPool::tasks_executed() const {
 
 void ThreadPool::run_task(const QueueItem& item) {
   // Re-install the submitter's observability context for the duration of
-  // the task; the lane-activity span is recorded only when a recorder is
-  // installed (TraceSpan is a null check otherwise).
+  // the task.
   ObsContextScope obs_scope(item.ctx);
-  TraceSpan lane_span("pool.task", TraceCat::kPool);
   if (!item.batch) {
+    // No lane span around a posted task: a TaskGraph node publishes its
+    // graph's completion from inside fn, after which the submitter — and
+    // the trace recorder in its context — may already be destroyed, so a
+    // span closed after fn would write to a dead recorder. Graph nodes
+    // are traced by the graph's task observer instead.
     item.fn();
     return;
   }
+  // Batch tasks are counted down only after this span closes, so their
+  // waiter (and its recorder) is still alive here. The span is recorded
+  // only when a recorder is installed (a null check otherwise).
+  TraceSpan lane_span("pool.task", TraceCat::kPool);
   Batch* batch = item.batch;
   // Remaining tasks of a failed batch are skipped (but still counted
   // down in finish_batch_task so the waiter can return).

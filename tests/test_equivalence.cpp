@@ -12,6 +12,8 @@
 // message carries the seed + draw index for replay.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -213,7 +215,7 @@ TEST(CrossPathEquivalence, KillAndResumeMatchesUninterruptedBitwise) {
     crash.checkpoint.path = path;
     Ls3dfSolver probe(s, crash);
     const int per_iter = static_cast<int>(probe.batches().size());
-    int counter = 0;
+    std::atomic<int> counter{0};  // bumped from several lanes
     crash.on_batch_solve = [&counter, per_iter](int) {
       if (counter++ == per_iter)
         throw std::runtime_error("injected crash");

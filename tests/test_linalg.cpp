@@ -4,8 +4,13 @@
 // Levenberg-Marquardt fitter on the Amdahl model used in Sec. VI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
+#include <stdexcept>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/blas.h"
@@ -366,6 +371,236 @@ TEST(Eigh, RealSymmetricWrapper) {
   EXPECT_NEAR(r.eigenvalues[0], 1.0, 1e-12);
   EXPECT_NEAR(r.eigenvalues[1], 3.0, 1e-12);
   EXPECT_NEAR(r.eigenvalues[2], 5.0, 1e-12);
+}
+
+// Normalised acceptance tests for eigh, in the style of blaspp's
+// check_gemm: each error is divided by the size- and eps-scaled bound a
+// backward-stable Hermitian eigensolver guarantees, so the kernel is
+// judged by what it computes, not by the bits of an earlier kernel.
+//   residual      ||A V - V L||_F / (n eps ||A||_F)
+//   orthogonality ||V^H V - I||_F  / (n eps)
+//   eigenvalues   max|l^ - l|      / (n eps ||A||_2)
+// each must stay below kEighC. Inputs are A = Q diag(l) Q^H with Q a
+// product of random complex Householder reflectors, so l is known.
+enum class Spectrum {
+  kRandom,
+  kClustered,
+  kTripleDegenerate,
+  kGraded,
+  kZero,
+  kDiagonal,
+  kComplexTridiagonal,
+  kNearDiagonal,
+};
+
+constexpr double kEighC = 8.0;
+constexpr double kEps = std::numeric_limits<double>::epsilon();
+
+// Q <- (I - 2 u u^H / u^H u) Q.
+void apply_reflector(const std::vector<cd>& u, MatC& Q) {
+  const int n = Q.rows();
+  double uu = 0;
+  for (const cd& x : u) uu += std::norm(x);
+  if (uu == 0) return;
+  for (int j = 0; j < Q.cols(); ++j) {
+    cd z{};
+    for (int i = 0; i < n; ++i) z += std::conj(u[i]) * Q(i, j);
+    z *= 2.0 / uu;
+    for (int i = 0; i < n; ++i) Q(i, j) -= z * u[i];
+  }
+}
+
+// Product of n complex reflectors: dense random when near == 0; with
+// near > 0 each u_k = e_k + near * noise, giving a unitary that is
+// diagonal up to O(near) (a converged Ritz basis).
+MatC reflector_unitary(int n, std::uint64_t seed, double near = 0.0) {
+  Rng rng(seed);
+  MatC Q(n, n);
+  for (int i = 0; i < n; ++i) Q(i, i) = 1.0;
+  std::vector<cd> u(n);
+  for (int k = 0; k < n; ++k) {
+    for (int i = 0; i < n; ++i) {
+      const cd r(rng.uniform(-1, 1), rng.uniform(-1, 1));
+      u[i] = near > 0 ? near * r + (i == k ? 1.0 : 0.0) : r;
+    }
+    apply_reflector(u, Q);
+  }
+  return Q;
+}
+
+// Exact Hermitian A from its lower triangle (what eigh reads).
+void hermitize_lower(MatC& A) {
+  for (int j = 0; j < A.rows(); ++j) {
+    A(j, j) = A(j, j).real();
+    for (int i = j + 1; i < A.rows(); ++i) A(j, i) = std::conj(A(i, j));
+  }
+}
+
+// Eigenvalues of the real symmetric tridiagonal (a, b) by Sturm-count
+// bisection: an oracle independent of the QL kernel, accurate to
+// O(eps ||T||).
+std::vector<double> sturm_eigenvalues(const std::vector<double>& a,
+                                      const std::vector<double>& b) {
+  const int n = static_cast<int>(a.size());
+  double bound = 0;
+  for (int i = 0; i < n; ++i)
+    bound = std::max(bound, std::abs(a[i]) + (i > 0 ? b[i - 1] : 0) +
+                                (i + 1 < n ? b[i] : 0));
+  const auto count_below = [&](double x) {
+    int c = 0;
+    double q = 1;
+    for (int i = 0; i < n; ++i) {
+      q = a[i] - x - (i > 0 ? b[i - 1] * b[i - 1] / q : 0.0);
+      if (q == 0) q = -1e-300;
+      if (q < 0) ++c;
+    }
+    return c;
+  };
+  std::vector<double> out(n);
+  for (int k = 0; k < n; ++k) {
+    double lo = -bound - 1, hi = bound + 1;
+    for (int it = 0; it < 200 && hi - lo > 0; ++it) {
+      const double mid = 0.5 * (lo + hi);
+      if (mid <= lo || mid >= hi) break;
+      (count_below(mid) > k ? hi : lo) = mid;
+    }
+    out[k] = 0.5 * (lo + hi);
+  }
+  return out;
+}
+
+struct EighProblem {
+  MatC A;
+  std::vector<double> lambda;  // ascending
+};
+
+EighProblem make_problem(Spectrum kind, int n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> lambda(n);
+  for (int k = 0; k < n; ++k) {
+    switch (kind) {
+      case Spectrum::kClustered:  // clusters of four within 1e-10
+        lambda[k] = 0.5 * (k / 4) - 1.0 + 1e-10 * rng.uniform(-1, 1);
+        break;
+      case Spectrum::kTripleDegenerate:
+        lambda[k] = 0.75 * (k / 3) - 1.0;
+        break;
+      case Spectrum::kGraded:
+        lambda[k] = n == 1 ? 1.0 : std::pow(10.0, -8.0 + 8.0 * k / (n - 1));
+        break;
+      case Spectrum::kZero:
+        lambda[k] = 0.0;
+        break;
+      default:
+        lambda[k] = rng.uniform(-1, 1);
+    }
+  }
+  EighProblem p;
+  p.A = MatC(n, n);
+  if (kind == Spectrum::kComplexTridiagonal) {
+    // Complex off-diagonals of random phase; the spectrum is that of the
+    // real tridiagonal with |b_i|, found by the Sturm oracle.
+    std::vector<double> a(n), b(n > 0 ? n - 1 : 0);
+    for (int i = 0; i < n; ++i) p.A(i, i) = a[i] = rng.uniform(-1, 1);
+    for (int i = 0; i + 1 < n; ++i) {
+      b[i] = rng.uniform(0.1, 1);
+      p.A(i + 1, i) = std::polar(b[i], rng.uniform(0, 6.283185307179586));
+    }
+    hermitize_lower(p.A);
+    p.lambda = sturm_eigenvalues(a, b);
+    return p;
+  }
+  std::sort(lambda.begin(), lambda.end());
+  if (kind == Spectrum::kDiagonal) {
+    // Descending on the diagonal so the sort is exercised.
+    for (int i = 0; i < n; ++i) p.A(i, i) = lambda[n - 1 - i];
+    p.lambda = lambda;
+    return p;
+  }
+  const MatC Q = reflector_unitary(n, seed + 1,
+                                   kind == Spectrum::kNearDiagonal ? 1e-9 : 0);
+  MatC QL(n, n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i) QL(i, j) = Q(i, j) * lambda[j];
+  gemm(Op::kNone, Op::kConjTrans, cd(1, 0), QL, Q, cd(0, 0), p.A);
+  hermitize_lower(p.A);
+  p.lambda = lambda;
+  return p;
+}
+
+struct EighErrors {
+  double residual, orthogonality, eigenvalue;
+};
+
+EighErrors eigh_errors(const EighProblem& p, const std::vector<double>& w,
+                       const MatC& V) {
+  const int n = p.A.rows();
+  double a_fro = 0, a_two = 0;
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i) a_fro += std::norm(p.A(i, j));
+  a_fro = std::sqrt(a_fro);
+  for (double l : p.lambda) a_two = std::max(a_two, std::abs(l));
+
+  MatC R(n, n);
+  gemm(Op::kNone, Op::kNone, cd(1, 0), p.A, V, cd(0, 0), R);
+  double res = 0;
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i) res += std::norm(R(i, j) - V(i, j) * w[j]);
+  MatC S = overlap(V, V);
+  double orth = 0;
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i)
+      orth += std::norm(S(i, j) - cd(i == j ? 1.0 : 0.0, 0));
+  double eig = 0;
+  for (int k = 0; k < n; ++k) eig = std::max(eig, std::abs(w[k] - p.lambda[k]));
+
+  // A zero matrix must come back exact (0/0 reads as 0, x/0 as inf).
+  const auto ratio = [](double err, double bound) {
+    return err == 0 ? 0.0 : err / bound;
+  };
+  return {ratio(std::sqrt(res), n * kEps * a_fro),
+          ratio(std::sqrt(orth), n * kEps), ratio(eig, n * kEps * a_two)};
+}
+
+class EighAcceptance
+    : public ::testing::TestWithParam<std::tuple<Spectrum, int>> {};
+
+TEST_P(EighAcceptance, WithinNormalisedBounds) {
+  const auto [kind, n] = GetParam();
+  const EighProblem p = make_problem(kind, n, 1000 + 37 * n +
+                                                  static_cast<int>(kind));
+  const EighResult r = eigh(p.A);
+  ASSERT_EQ(static_cast<int>(r.eigenvalues.size()), n);
+  for (int k = 1; k < n; ++k)
+    ASSERT_LE(r.eigenvalues[k - 1], r.eigenvalues[k]);
+  const EighErrors e = eigh_errors(p, r.eigenvalues, r.eigenvectors);
+  EXPECT_LE(e.residual, kEighC) << "||AV - VL||_F / (n eps ||A||_F)";
+  EXPECT_LE(e.orthogonality, kEighC) << "||V^H V - I||_F / (n eps)";
+  EXPECT_LE(e.eigenvalue, kEighC) << "max|l^ - l| / (n eps ||A||_2)";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Spectra, EighAcceptance,
+    ::testing::Combine(
+        ::testing::Values(Spectrum::kRandom, Spectrum::kClustered,
+                          Spectrum::kTripleDegenerate, Spectrum::kGraded,
+                          Spectrum::kZero, Spectrum::kDiagonal,
+                          Spectrum::kComplexTridiagonal,
+                          Spectrum::kNearDiagonal),
+        ::testing::Values(1, 2, 3, 5, 8, 13, 21, 24, 32, 40, 64)));
+
+TEST(Eigh, ThrowsOnNonFiniteInput) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    MatC A = hermitian_from(random_matc(6, 6, 5));
+    A(4, 1) = cd(0.25, bad);
+    EXPECT_THROW(eigh(A), std::runtime_error);
+    EigenScratch ws;
+    EXPECT_THROW(eigh(A, ws), std::runtime_error);
+    MatC D = hermitian_from(random_matc(3, 3, 6));
+    D(2, 2) = bad;
+    EXPECT_THROW(eigh(D), std::runtime_error);
+  }
 }
 
 TEST(Cholesky, ReconstructsAndOrthonormalizes) {

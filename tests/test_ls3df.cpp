@@ -4,6 +4,7 @@
 // the solver's structural invariants.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -1120,11 +1121,11 @@ TEST(Ls3df, OverlapProcWorkerDeathLatchesNotHangs) {
   lo.n_workers = 2;
   lo.transport = TransportKind::kProc;
 
-  auto armed = std::make_shared<bool>(true);
+  // Several lanes run the hook; exactly one of them fires the kill.
+  auto armed = std::make_shared<std::atomic<bool>>(true);
   Ls3dfSolver* live = nullptr;
   lo.on_batch_solve = [armed, &live](int) {
-    if (!*armed) return;
-    *armed = false;
+    if (!armed->exchange(false)) return;
     auto* proc = dynamic_cast<ProcTransport*>(live->shard_transport_object());
     ASSERT_NE(proc, nullptr);
     proc->kill_worker_for_test(1);
