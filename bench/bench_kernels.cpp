@@ -18,11 +18,11 @@
 // densities), and the sharded-grid probes: the distributed-transpose FFT
 // round trip (with the transpose's share of the wall time) and sharded
 // vs dense GENPOT with the bit-identity flag CI asserts, and the
-// barrier-free iteration probes: phased vs overlapped solve() on a
-// skewed division, the measured overlap fraction, and the
-// overlap-vs-phased bit-identity flag (both asserted in CI), plus the
-// adaptive-runtime probes: donated-lane vs fixed-lane iterations (events
-// > 0 and bit-identity asserted), the fp32-vs-fp64 batched Davidson
+// barrier-free iteration probes: the reference driver vs the production
+// driver's solve() on a skewed division, the measured overlap fraction,
+// the production-vs-reference bit-identity flag (both asserted in CI)
+// and the production solve's lane-donation events (> 0 asserted), plus
+// the adaptive-runtime probes: the fp32-vs-fp64 batched Davidson
 // speedup, and the mixed-precision convergence flag on the Fig. 6 alloy,
 // plus the crash-safety probes: solve() wall time with every-2 snapshots
 // vs checkpoint-free (< 5% overhead asserted in CI) and the
@@ -610,28 +610,32 @@ std::vector<JsonEntry> kernel_summary() {
   }
 
   {
-    // Barrier-free vs phased full iterations on the skewed 1x1x4
-    // division (two size classes with ~2x cost skew — the LPT tail the
-    // chains overlap). Both drivers run the same deterministic work, so
-    // the patched densities must agree bit for bit (CI asserts the
-    // flag). The overlap fraction is reported twice: at the multi-worker
-    // lane count (real concurrency on multi-core hosts) and on a single
-    // lane, where the depth-first chain schedule interleaves phase
-    // windows structurally — positive on any core count, asserted > 0
-    // in CI.
+    // Production (barrier-free) vs reference (phased, per-fragment)
+    // full iterations on the skewed 1x1x4 division (two size classes
+    // with ~2x cost skew — the LPT tail the chains overlap). Both
+    // drivers run the same deterministic work, so the patched densities
+    // must agree bit for bit (CI asserts the flag). The overlap fraction
+    // is reported twice: at the multi-worker lane count (real
+    // concurrency on multi-core hosts) and on a single lane, where the
+    // depth-first chain schedule interleaves phase windows structurally
+    // — positive on any core count, asserted > 0 in CI. The two size
+    // classes make at least two solve chains, so the short one retires
+    // first and donates its lanes every iteration: the production
+    // solve's donation events are > 0 on any core count (asserted in
+    // CI).
     Structure s = petot_structure();
     Ls3dfOptions lo = petot_options(std::min(4, default_workers()), 4);
     lo.max_iterations = 2;
     lo.l1_tol = 0.0;
     lo.compute_energy = false;
 
-    lo.overlap = false;
-    Ls3dfSolver phased(s, lo);
+    Ls3dfOptions ref_lo = lo;
+    ref_lo.batch_width = 0;
+    Ls3dfSolver phased(s, ref_lo);
     Timer tp;
     const Ls3dfResult rp = phased.solve();
     const double phased_ms = tp.seconds() * 1e3 / rp.iterations;
 
-    lo.overlap = true;
     Ls3dfSolver overlapped(s, lo);
     Timer to;
     const Ls3dfResult ro = overlapped.solve();
@@ -657,6 +661,9 @@ std::vector<JsonEntry> kernel_summary() {
         {"ls3df_overlap_fraction_w1_1x1x4", r1.overlap_fraction, 0});
     out.push_back(
         {"overlap_bit_identical_to_phased", identical ? 1.0 : 0.0, 0});
+    out.push_back({"ls3df_donated_lane_events",
+                   static_cast<double>(overlapped.donated_lane_events()),
+                   0});
   }
 
   // PEtot_F probes. Looped per-fragment dispatch at 1 and 4 workers (the
@@ -692,54 +699,6 @@ std::vector<JsonEntry> kernel_summary() {
     identical = rho_looped[i] == rho_batched[i];
   out.push_back(
       {"petot_f_batched_bit_identical_to_looped", identical ? 1.0 : 0.0, 0});
-
-  {
-    // Live lane donation vs the fixed inner split on the skewed 1x1x4
-    // division. 4 logical lanes over the two size-class batches make two
-    // LPT holders; the short batch retires first and donates its lanes,
-    // so every PEtot_F round produces donation events deterministically
-    // (holders - 1 per round, even on one core). Donation is an A/B
-    // toggle over bit-identical arithmetic, so CI asserts events > 0,
-    // wall <= the fixed-lane run (within timing-noise headroom on shared
-    // runners), and the bit-identity flag. solve() rebuilds its initial
-    // state every call, so both solvers are warmed once (arenas, FFT
-    // plans) and then re-solved interleaved best-of-3 over identical
-    // deterministic work.
-    Structure s = petot_structure();
-    Ls3dfOptions lo = petot_options(4, 4);
-    lo.max_iterations = 2;
-    lo.l1_tol = 0.0;
-    lo.compute_energy = false;
-    lo.donate = false;
-    Ls3dfSolver fixed_lane(s, lo);
-    lo.donate = true;
-    Ls3dfSolver donating(s, lo);
-    Ls3dfResult r_fixed = fixed_lane.solve();  // warm
-    Ls3dfResult r_donate = donating.solve();   // warm
-    double fixed_ms = 1e300, donate_ms = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      Timer tf;
-      r_fixed = fixed_lane.solve();
-      fixed_ms = std::min(fixed_ms, tf.seconds() * 1e3 / r_fixed.iterations);
-      Timer td;
-      r_donate = donating.solve();
-      donate_ms =
-          std::min(donate_ms, td.seconds() * 1e3 / r_donate.iterations);
-    }
-    const long donate_events = donating.donated_lane_events();
-    bool same = r_fixed.rho.size() == r_donate.rho.size() &&
-                r_fixed.conv_history.size() == r_donate.conv_history.size();
-    for (std::size_t i = 0; same && i < r_fixed.conv_history.size(); ++i)
-      same = r_fixed.conv_history[i] == r_donate.conv_history[i];
-    for (std::size_t i = 0; same && i < r_fixed.rho.size(); ++i)
-      same = r_fixed.rho[i] == r_donate.rho[i];
-    out.push_back({"ls3df_iter_fixedlane_1x1x4", fixed_ms, 0});
-    out.push_back({"ls3df_iter_donate_1x1x4", donate_ms, 0});
-    out.push_back({"ls3df_donated_lane_events",
-                   static_cast<double>(donate_events), 0});
-    out.push_back(
-        {"donate_bit_identical_to_fixed", same ? 1.0 : 0.0, 0});
-  }
 
   {
     // Checkpoint overhead + resume fidelity on the skewed 1x1x4
@@ -924,7 +883,6 @@ std::vector<JsonEntry> kernel_summary() {
     lo.max_iterations = 2;
     lo.l1_tol = 0.0;
     lo.compute_energy = false;
-    lo.overlap = true;
 
     Ls3dfSolver plain(s, lo);
     TraceRecorder rec(std::size_t{1} << 18);

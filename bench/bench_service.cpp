@@ -100,8 +100,6 @@ std::vector<BenchJob> job_mix() {
     Ls3dfOptions lo = base_options(4);
     lo.n_workers = 2;
     lo.n_shards = 2;
-    lo.overlap = true;
-    lo.donate = true;
     lo.max_iterations = 3;
     jobs.push_back({h2_chain(4), lo, 0, false});
   }

@@ -54,8 +54,9 @@
 // of the same dispatch round retire, their worker lanes are donated and
 // the still-running solves widen mid-flight. Every batched kernel is
 // worker-count-invariant by construction, so a donated width change can
-// never alter results — the bit-identity contract holds with donation on
-// or off (tests/test_equivalence.cpp draws both).
+// never alter results — the bit-identity contract holds for any width
+// schedule (tests/test_equivalence.cpp checks the donating production
+// driver against the per-fragment reference).
 //
 // == Mixed precision (fp32 fast path) ==
 //

@@ -155,6 +155,7 @@ void butterfly(int radix, bool inv, const C* in, std::size_t is, C* out,
 
 template <typename Real>
 bool BasicFft1D<Real>::is_smooth(int n) {
+  if (n < 1) return false;  // 0 % p == 0 would divide forever
   for (int p : {2, 3, 5, 7})
     while (n % p == 0) n /= p;
   return n == 1;

@@ -71,7 +71,8 @@ class BasicFft1D {
   void forward_lines(Cplx* data, int howmany) const;
   void inverse_lines(Cplx* data, int howmany) const;
 
-  // True if n factors entirely into {2,3,5,7} (fast path, no Bluestein).
+  // True if n >= 1 factors entirely into {2,3,5,7} (fast path, no
+  // Bluestein); false for n < 1.
   static bool is_smooth(int n);
   // Smallest m >= n whose prime factors are all in {2,3,5}; such sizes
   // keep the FFT cost low and divide evenly for fragment grids.

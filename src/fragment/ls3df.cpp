@@ -72,7 +72,7 @@ struct Ls3dfSolver::ShardState {
     // Gen_dens windows: per destination, total doubles this rank sends
     // (raw interior-window plane values of its owned fragments), and per
     // owned fragment the starting offset of its segment in each lane —
-    // fixed by geometry, so overlap-mode pack nodes write disjoint
+    // fixed by geometry, so the graph's pack nodes write disjoint
     // ranges concurrently.
     std::vector<std::size_t> win_send_doubles;        // [dst]
     std::vector<std::vector<std::size_t>> win_off;    // [f - own_begin][dst]
@@ -155,23 +155,34 @@ int smooth_uniform_buffer(int p, int m, int b_max) {
 
 }  // namespace
 
+const Ls3dfOptions& validate(const Ls3dfOptions& opt) {
+  // LS3DF needs m_i == 1 (undivided) or m_i >= 3; the paper's smallest
+  // production division is 3 x 3 x 3.
+  for (int i = 0; i < 3; ++i)
+    if (opt.division[i] < 1 || opt.division[i] == 2)
+      throw std::invalid_argument(
+          "Ls3dfOptions::division must have m_i == 1 or m_i >= 3 per axis");
+  if (opt.points_per_cell < 4)
+    throw std::invalid_argument("Ls3dfOptions::points_per_cell must be >= 4");
+  if (opt.batch_width < 0)
+    throw std::invalid_argument("Ls3dfOptions::batch_width must be >= 0");
+  if (opt.n_shards < 0)
+    throw std::invalid_argument("Ls3dfOptions::n_shards must be >= 0");
+  if (opt.batch_width == 0 && opt.n_shards > 0)
+    throw std::invalid_argument(
+        "Ls3dfOptions::batch_width == 0 selects the dense reference driver "
+        "and requires n_shards == 0");
+  return opt;
+}
+
 Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
-    : structure_(s), opt_(opt), decomp_(opt.division), rng_(opt.seed) {
+    : structure_(s), opt_(validate(opt)), decomp_(opt.division),
+      rng_(opt.seed) {
   // Route all construction work (potential setup FFTs, shard state)
   // through this instance's observability context.
   ObsContextScope obs_scope(obs_ctx());
   const Vec3i m = opt.division;
-  // A division of exactly 2 along an axis is structurally degenerate: the
-  // size-2 fragments wrap the whole axis and carry no artificial boundary,
-  // so the negative size-1 fragments' boundary effects have nothing to
-  // cancel against. LS3DF needs m_i == 1 (undivided) or m_i >= 3; the
-  // paper's smallest production division is 3 x 3 x 3.
-  for (int i = 0; i < 3; ++i)
-    if (m[i] == 2)
-      throw std::invalid_argument(
-          "Ls3dfOptions::division must have m_i == 1 or m_i >= 3 per axis");
   const int p = opt.points_per_cell;
-  assert(p >= 4);
   global_grid_ = {m.x * p, m.y * p, m.z * p};
   vion_ = build_local_potential(structure_, global_grid_);
 
@@ -665,7 +676,7 @@ void Ls3dfSolver::prepare_batch_workspaces() {
   }
 }
 
-void Ls3dfSolver::solve_batch(int b, int group, int inner,
+void Ls3dfSolver::solve_batch(int b, int group,
                               const std::vector<double>& analytic) {
   if (opt_.on_batch_solve) opt_.on_batch_solve(b);
   const FragmentBatch& batch = batches_[b];
@@ -678,19 +689,18 @@ void Ls3dfSolver::solve_batch(int b, int group, int inner,
     items.reserve(k_members);
     for (int f : batch.members)
       items.push_back({contexts_[f]->h.get(), &contexts_[f]->psi});
-    // Live inner-lane width: with donation on, the lockstep driver
-    // re-reads the budget's allowance at every sweep boundary, so lanes
-    // donated by retiring holders widen this solve mid-flight. The
-    // kernels are worker-count-invariant, so the width schedule cannot
-    // change results.
-    std::function<int()> live_lanes;
-    if (opt_.donate)
-      live_lanes = [this]() { return lane_budget_.allowance(); };
+    // Live inner-lane width: the lockstep driver re-reads the budget's
+    // allowance at every sweep boundary, so lanes donated by retiring
+    // holders widen this solve mid-flight (the fixed width argument is
+    // then unused). The kernels are worker-count-invariant, so the width
+    // schedule cannot change results.
+    const std::function<int()> live_lanes = [this]() {
+      return lane_budget_.allowance();
+    };
     std::vector<EigensolverResult> rs =
         use_fp32_iter_
-            ? solve_all_band_batched_f32(items, opt_.eig, bw, inner,
-                                         live_lanes)
-            : solve_all_band_batched(items, opt_.eig, bw, inner, live_lanes);
+            ? solve_all_band_batched_f32(items, opt_.eig, bw, 1, live_lanes)
+            : solve_all_band_batched(items, opt_.eig, bw, 1, live_lanes);
     for (int k = 0; k < k_members; ++k)
       contexts_[batch.members[k]]->eigenvalues = std::move(rs[k].eigenvalues);
     // Densities member by member, each member's band stack swept by
@@ -698,8 +708,7 @@ void Ls3dfSolver::solve_batch(int b, int group, int inner,
     // lanes go to the FFTs, not the member loop — bit-identical
     // either way, so the density sweep may also use donated width).
     for (int k = 0; k < k_members; ++k)
-      finish_fragment(batch.members[k],
-                      opt_.donate ? lane_budget_.allowance() : inner);
+      finish_fragment(batch.members[k], lane_budget_.allowance());
   } else {
     // Band-by-band has no lockstep driver; members still share the
     // batch's schedulable unit and per-member arenas.
@@ -741,22 +750,19 @@ void Ls3dfSolver::petot_f_batched(int n_groups) {
     members[ba.batches.group_of[b]].push_back(b);
 
   // Lanes not consumed by batch-level parallelism drive the batched
-  // kernels' internal work grids (fused GEMM tiles, many-FFT sweeps).
-  // With donation on, `inner` is only the opening width: the budget's
-  // allowance starts at exactly total/holders = inner and widens as
-  // groups retire.
-  const int inner = std::max(1, live_workers_ / n_groups);
+  // kernels' internal work grids (fused GEMM tiles, many-FFT sweeps):
+  // the budget's allowance opens at live_workers_ / n_groups and widens
+  // as groups retire.
   lane_budget_.reset(live_workers_, n_groups);
   const std::vector<double> analytic = analytic_costs();
 
   std::vector<double> busy(n_groups, 0.0);
   const auto run_group = [&](int g) {
     Timer timer;
-    for (int b : members[g]) solve_batch(b, g, inner, analytic);
+    for (int b : members[g]) solve_batch(b, g, analytic);
     // This group's solves are done: donate its inner lanes so the
-    // makespan-tail groups widen. With donation off the budget is never
-    // consulted nor retired, so donated_lane_events() stays flat.
-    if (opt_.donate) lane_budget_.retire(g);
+    // makespan-tail groups widen.
+    lane_budget_.retire(g);
     busy[g] = timer.seconds();
   };
 
@@ -868,34 +874,6 @@ FieldR Ls3dfSolver::genpot(const FieldR& rho) const {
   return effective_potential(vion_, rho, structure_.lattice());
 }
 
-void Ls3dfSolver::gen_vf_sharded(const ShardedFieldR& v) {
-  if (spmd_) {
-    // The field holds one resident slab; pull the off-rank planes owned
-    // fragments straddle into the halo buffer first, then restrict each
-    // owned fragment from (own slab + halo). Plane copies only — the
-    // restricted values are bit-identical to dense extract_into.
-    spmd_fill_halo(v);
-    parallel_for(own_end_ - own_begin_, live_workers_,
-                 [&](int i, int /*worker*/) {
-                   FragmentContext& ctx = *contexts_[own_begin_ + i];
-                   spmd_extract(v, ctx.global_offset, ctx.vf);
-                   ctx.vf += ctx.wall;
-                   ctx.h->set_local_potential(ctx.vf);
-                 });
-    return;
-  }
-  // Fragment boxes straddle shard boundaries, so the restriction gathers
-  // rows from every slab it overlaps (the halo seam); reads only, so the
-  // fragment fan-out runs concurrently against the shared slabs.
-  parallel_for(static_cast<int>(contexts_.size()), live_workers_,
-               [&](int f, int /*worker*/) {
-                 FragmentContext& ctx = *contexts_[f];
-                 v.extract_into(ctx.global_offset, ctx.vf);
-                 ctx.vf += ctx.wall;
-                 ctx.h->set_local_potential(ctx.vf);
-               });
-}
-
 int Ls3dfSolver::fragment_owner(int f) const {
   if (!spmd_) return 0;
   // frag_rank_begin_ is nondecreasing; the owner is the last rank whose
@@ -981,7 +959,7 @@ void Ls3dfSolver::spmd_size_window_lanes() const {
   ShardState::Spmd& sp = *s.spmd;
   const int n = s.comm.n_ranks();
   const int self = s.comm.local_rank();
-  // Size every lane once, then cache raw pointers: the overlapped driver
+  // Size every lane once, then cache raw pointers: the production driver
   // packs fragments from concurrent pool tasks, and send_box itself is
   // not concurrency-safe. Pack targets are disjoint geometry-fixed
   // offsets (win_off), so concurrent packs never touch the same bytes.
@@ -1067,15 +1045,6 @@ const char* Ls3dfSolver::shard_transport() const {
 
 Transport* Ls3dfSolver::shard_transport_object() const {
   return shards_ ? &shards_->comm.transport() : nullptr;
-}
-
-bool Ls3dfSolver::overlap_active() const {
-  // Rank-uniform by construction: under SPMD every rank must take the
-  // same driver (collectives pair up positionally), and batches_.empty()
-  // differs per rank (a rank may own zero fragments) — so the decision
-  // keys on options and the global fragment count only. Outside SPMD
-  // this is equivalent to the old batches_.empty() test.
-  return opt_.overlap && opt_.batch_width > 0 && !contexts_.empty();
 }
 
 bool Ls3dfSolver::fragment_touches_planes(int f, int x_begin,
@@ -1263,10 +1232,10 @@ std::uint64_t Ls3dfSolver::state_fingerprint() const {
   }
   // Every option that shapes the numerical trajectory. Deliberately
   // absent: max_iterations (resuming with a higher cap is the point),
-  // n_workers, batch_width, transport, overlap, donate, lane_allowance,
-  // trace, progress, on_batch_solve and the checkpoint settings
-  // themselves — all bit-invariant execution knobs, so a resume may run
-  // on a different machine configuration.
+  // n_workers, batch_width, transport, lane_allowance, trace, progress,
+  // on_batch_solve and the checkpoint settings themselves — all
+  // bit-invariant execution knobs, so a resume may run on a different
+  // machine configuration.
   fp.mix_i64(opt_.division.x);
   fp.mix_i64(opt_.division.y);
   fp.mix_i64(opt_.division.z);
@@ -1518,16 +1487,21 @@ Ls3dfResult Ls3dfSolver::resume(const std::string& snapshot_path) {
     return result;
   }
 
-  if (overlap_active()) return solve_overlap();
-  return shards_ ? solve_sharded() : solve_dense();
+  return run_driver();
 }
 
 Ls3dfResult Ls3dfSolver::solve() {
   ObsContextScope obs_scope(obs_ctx());
   fp64_promoted_ = false;  // re-arm the kMixed promotion latch
   resume_.reset();         // a plain solve never consumes stale resume state
-  if (overlap_active()) return solve_overlap();
-  return shards_ ? solve_sharded() : solve_dense();
+  return run_driver();
+}
+
+// The one selector: validate() guarantees batch_width == 0 only on the
+// dense grid, so the reference driver never sees shards. It reads only
+// options, so every SPMD rank takes the same driver.
+Ls3dfResult Ls3dfSolver::run_driver() {
+  return opt_.batch_width > 0 ? solve_overlap() : solve_reference();
 }
 
 // The observability context this solver installs around every entry
@@ -1544,7 +1518,7 @@ ObsContext Ls3dfSolver::obs_ctx() const {
   return ctx;
 }
 
-// Per-outer-iteration bookkeeping shared by all three drivers: metric
+// Per-outer-iteration bookkeeping shared by both drivers: metric
 // series, iteration counters, and the user progress callback. The band
 // energy is the RANK-LOCAL signed partial sum over owned fragments
 // (sum_f sign_F * sum_b occ_b * eps_b) — deliberately communication-
@@ -1624,7 +1598,11 @@ void Ls3dfSolver::finalize_observability(Ls3dfResult& result) {
   result.metrics = metrics_.snapshot();
 }
 
-Ls3dfResult Ls3dfSolver::solve_dense() {
+// The reference driver: the paper's Fig. 2 loop as written, one phase
+// after another on the dense grid, with per-fragment PEtot_F dispatch
+// (batch_width == 0). Kept as the oracle the production driver is
+// checked against, bit for bit.
+Ls3dfResult Ls3dfSolver::solve_reference() {
   const Lattice& lat = structure_.lattice();
   const double point_vol =
       lat.volume() / static_cast<double>(vion_.size());
@@ -1720,122 +1698,19 @@ Ls3dfResult Ls3dfSolver::solve_dense() {
   return result;
 }
 
-// The sharded driver: the same loop with every global field living as
-// x-slabs — no step of the pipeline materializes the full grid; the
-// dense result fields are gathered once, after the loop. Bit-identical
-// to solve_dense() for any shard and worker count: the FFT matches by
-// construction (fft/dist_fft3d.h), pointwise layers trivially, and all
-// scalar reductions are plane-blocked in both drivers.
-Ls3dfResult Ls3dfSolver::solve_sharded() {
-  ShardState& s = *shards_;
-  const Lattice& lat = structure_.lattice();
-  const double point_vol =
-      lat.volume() / static_cast<double>(vion_.size());
-  const double n_electrons = structure_.num_electrons();
-
-  Ls3dfResult result;
-  ShardedFieldR& v_in = s.v_in;
-  ShardedFieldR& v_out = s.v_out;
-  ShardedPotentialMixer mixer(opt_.mixer, opt_.mix_alpha, lat, s.fft);
-  int iter0 = 0;
-  if (resume_) {
-    // V_in and rho restored straight into the shard slabs by
-    // load_resume; only the DIIS stack and scalars travel here.
-    iter0 = resume_->iterations;
-    result.iterations = iter0;
-    result.conv_history = std::move(resume_->conv_history);
-    result.charge_patch_error = resume_->charge_patch_error;
-    mixer.restore_history(std::move(resume_->mix_v_s),
-                          std::move(resume_->mix_r_s));
-    resume_.reset();
-  } else {
-    // The initial guess is built slab-locally (G-space pencils through
-    // the distributed inverse FFT, pseudo/pseudopotential.h) — with it,
-    // no step of the sharded pipeline materializes the dense grid:
-    // from_dense appears only at the user-density and result boundaries
-    // of the public API, and shard_rank_footprint() probes the ~global/N
-    // contract.
-    build_initial_density_sharded(structure_, s.fft, s.comm, s.rho);
-    genpot_sharded(s.rho, v_in);
-  }
-
-  for (int iter = iter0; iter < opt_.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    update_precision_policy(result.conv_history);
-    refresh_live_lanes();
-    Timer iter_timer;
-    const std::map<std::string, double> prof0 = profile_.totals();
-    double l1 = 0;
-    {
-      TraceSpan iter_span("iter", TraceCat::kSolver,
-                          static_cast<std::uint64_t>(iter + 1));
-      {
-        ScopedPhase sp(profile_, "Gen_VF");
-        TraceSpan ts("Gen_VF", TraceCat::kPhase);
-        gen_vf_sharded(v_in);
-      }
-      {
-        ScopedPhase sp(profile_, "PEtot_F");
-        TraceSpan ts("PEtot_F", TraceCat::kPhase);
-        petot_f();
-      }
-      {
-        ScopedPhase sp(profile_, "Gen_dens");
-        TraceSpan ts("Gen_dens", TraceCat::kPhase);
-        gen_dens_sharded();
-        const double total = plane_sum(s.rho, s.comm) * point_vol;
-        result.charge_patch_error = std::abs(total - n_electrons);
-        if (total > 0) {
-          const double scale = n_electrons / total;
-          s.comm.each_rank([&](int r) { s.rho.slab(r) *= scale; });
-        }
-      }
-      {
-        ScopedPhase sp(profile_, "GENPOT");
-        TraceSpan ts("GENPOT", TraceCat::kPhase);
-        genpot_sharded(s.rho, v_out);
-      }
-      l1 = plane_l1(v_out, v_in, s.comm) * point_vol;
-      result.conv_history.push_back(l1);
-      // As in solve_dense: convergence only latches from an fp64
-      // iteration.
-      if (l1 < opt_.l1_tol && !use_fp32_iter_) {
-        result.converged = true;
-      } else {
-        TraceSpan ts("Mix", TraceCat::kPhase);
-        v_in = mixer.mix(v_in, v_out);
-      }
-      maybe_write_checkpoint(result, nullptr, nullptr, &mixer);
-    }
-    record_iteration(result, l1, iter_timer.seconds(), use_fp32_iter_,
-                     prof0);
-    if (result.converged) break;
-  }
-  result.v_eff =
-      spmd_ ? gather_dense(v_in, s.comm) : v_in.to_dense();
-  if (result.iterations > 0)
-    result.rho = spmd_ ? gather_dense(s.rho, s.comm) : s.rho.to_dense();
-
-  if (opt_.compute_energy) compute_patched_energy(result);
-  finalize_observability(result);
-  result.profile = profile_;
-  return result;
-}
-
-// The barrier-free driver (see the architecture block in ls3df.h): each
+// The production driver (see the architecture block in ls3df.h): each
 // outer iteration is one TaskGraph of per-batch restrict -> solve ->
 // ordered-patch-commit chains, followed by the normalization, GENPOT and
 // mixing nodes. Determinism: per destination slab, patch commits form a
 // dependency chain in ascending fragment order, so every grid point
-// accumulates its signed contributions in exactly the phased path's
+// accumulates its signed contributions in exactly the reference path's
 // fragment order regardless of solve completion order — which is what
-// makes the overlapped solve bit-identical to solve_dense() /
-// solve_sharded() for any batch width, worker count, shard count and
-// transport. The charge-normalization scalar is the one surviving
-// global sequence point: it needs every slab's plane partials, so the
-// GENPOT transpose pipeline starts only after the last patch commits
-// (the per-rank partial-sum nodes, armed per slab, are what overlaps the
-// solve tail across the GENPOT seam).
+// makes it bit-identical to solve_reference() for any batch width,
+// worker count, shard count and transport. The charge-normalization
+// scalar is the one surviving global sequence point: it needs every
+// slab's plane partials, so the GENPOT transpose pipeline starts only
+// after the last patch commits (the per-rank partial-sum nodes, armed
+// per slab, are what overlaps the solve tail across the GENPOT seam).
 Ls3dfResult Ls3dfSolver::solve_overlap() {
   const Lattice& lat = structure_.lattice();
   const double point_vol =
@@ -1849,7 +1724,10 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
   Ls3dfResult result;
   result.chain_times.assign(n_batches, {});
 
-  // Backend state, initialized exactly like the phased drivers.
+  // Backend state. The dense fields start exactly like the reference
+  // driver's; the sharded initial guess is built slab-locally (G-space
+  // pencils through the distributed inverse FFT, pseudo/pseudopotential.h),
+  // so no step of the sharded pipeline materializes the dense grid.
   FieldR v_in_d, v_out_d, rho_d;
   std::unique_ptr<PotentialMixer> mixer_d;
   std::unique_ptr<ShardedPotentialMixer> mixer_s;
@@ -1889,20 +1767,17 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
   prepare_batch_workspaces();
   executed_group_of_.assign(n_frag, -1);
   const std::vector<double> analytic = analytic_costs();
-  // Graph topology (slab split, chain shape) and the donate-off inner
-  // width are fixed at entry from the live allowance; per-iteration
-  // liveness flows through the LaneBudget reset below (and, with donate
-  // on, the kernels' per-sweep allowance re-reads).
+  // Graph topology (slab split, chain shape) is fixed at entry from the
+  // live allowance; per-iteration liveness flows through the LaneBudget
+  // reset below and the kernels' per-sweep allowance re-reads.
   refresh_live_lanes();
-  const int inner = std::max(
-      1, live_workers_ / std::max(1, std::min(n_batches, live_workers_)));
 
   std::vector<int> batch_of(n_frag, -1);
   for (int b = 0; b < n_batches; ++b)
     for (int f : batches_[b].members) batch_of[f] = b;
 
   // Destination slabs of the ordered commit chains: shard-owned slabs on
-  // the sharded path (rank >= 0), the phased Gen_dens split otherwise.
+  // the sharded path (rank >= 0), the gen_dens() slab split otherwise.
   struct Slab {
     int x0, x1, rank;
   };
@@ -1990,12 +1865,12 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
                            rdeps),
                        kGenVf, b);
     solve_node[b] =
-        tag(g.add([this, b, inner, &analytic]() {
-              solve_batch(b, b, inner, analytic);
+        tag(g.add([this, b, &analytic]() {
+              solve_batch(b, b, analytic);
               // Chain b's solve retired: donate its inner lanes to the
               // still-running chains (holders are batches here, not LPT
               // groups — the patch tail is cheap and lane-free).
-              if (opt_.donate) lane_budget_.retire(b);
+              lane_budget_.retire(b);
             },
                   {rb}),
             kPetot, b);
@@ -2184,7 +2059,8 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
             l1 = sh ? plane_l1(sh->v_out, sh->v_in, sh->comm) * point_vol
                     : plane_l1(v_out_d, v_in_d) * point_vol;
             result.conv_history.push_back(l1);
-            // fp32 iterations never latch convergence (solve_dense rule).
+            // fp32 iterations never latch convergence (see
+            // solve_reference).
             if (l1 < opt_.l1_tol && !use_fp32_iter_) {
               converged = true;
             } else if (sh) {
@@ -2221,8 +2097,7 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
     result.iterations = iter + 1;
     update_precision_policy(result.conv_history);
     // Arm the lane budget for this round from the LIVE width: every
-    // solve chain is a holder, opening at allowance == live / n_batches
-    // (== the fixed `inner` above when no allowance is installed),
+    // solve chain is a holder, opening at allowance == live / n_batches,
     // widening as chains retire — and, across jobs, as other service
     // jobs finish and this one's allowance grows.
     const int live = refresh_live_lanes();
@@ -2236,7 +2111,7 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
 
     if (!sh) result.rho = std::move(rho_d);
     if (converged) result.converged = true;
-    // Same sequence point as the phased drivers: the mix node has
+    // Same sequence point as the reference driver: the mix node has
     // already updated V_in (or convergence latched with it unmixed).
     maybe_write_checkpoint(result, &v_in_d, mixer_d.get(), mixer_s.get());
     if (opt_.trace)
@@ -2278,8 +2153,8 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
     record_iteration(result, l1, wall, use_fp32_iter_, prof0);
 
     // Overlap fraction: how much of the phase windows' combined length
-    // exceeds their union, relative to the iteration wall. Phased
-    // execution has disjoint windows (0); interleaved chains score > 0
+    // exceeds their union, relative to the iteration wall. The reference
+    // path's phases have disjoint windows (0); interleaved chains score > 0
     // even on one core.
     std::vector<std::pair<double, double>> windows;
     double span_sum = 0;

@@ -27,9 +27,21 @@
 // iteration) allocates no fragment workspace memory at all, and results
 // are bit-identical for any batch width and worker count.
 //
-// == Barrier-free iteration (Ls3dfOptions::overlap, default on) ==
+// == Two drivers ==
 //
-// solve()'s inner iteration is a TaskGraph, not a phase sequence: each
+// solve() runs one of exactly two drivers, selected by batch_width:
+//   batch_width > 0   the production driver: the barrier-free TaskGraph
+//                     iteration below, dense or sharded, on any
+//                     transport (SPMD included), with live lane donation;
+//   batch_width == 0  the reference driver: the paper's Fig. 2 loop as
+//                     written — dense, phased, per-fragment — kept beside
+//                     the fast path as its oracle.
+// Both produce the same bits for any worker count, batch width, shard
+// count and transport.
+//
+// == Barrier-free iteration (the production driver) ==
+//
+// The inner iteration is a TaskGraph, not a phase sequence: each
 // fragment batch b becomes a chain
 //
 //   restrict(b) -> solve(b) -> patch(s, f) for every slab s and member f
@@ -43,8 +55,7 @@
 // skipped — they contribute nothing there), so every grid point still
 // receives its signed contributions in exactly the dense fragment order,
 // whatever order solves finish in. The result is bit-identical to the
-// phased path (opt.overlap = false, kept for A/B) and to the dense
-// reference for any batch width, worker count and shard count.
+// reference driver for any batch width, worker count and shard count.
 //
 // On the sharded path the graph extends across the GENPOT seam: each
 // rank's per-plane charge partials are graph nodes armed the moment that
@@ -58,7 +69,7 @@
 // last patch commits without changing bits. The L1 metric and the mixer
 // update are the graph's final nodes.
 //
-// Profiling under overlap: phase windows are no longer disjoint, so the
+// Profiling in the graph: phase windows are no longer disjoint, so the
 // four phase keys carry *attributed* per-node busy time (one sample per
 // iteration, summing to the iteration wall on one lane), "Mix" holds the
 // convergence-metric + mixer tail, "Iter.wall" the measured iteration
@@ -73,10 +84,11 @@
 // which no step materializes the full grid — the single-node analogue of
 // the paper's multi-group machine layout, and the MPI seam for it. The
 // sharded solve() is bit-identical to the dense path for any shard and
-// worker count; n_shards = 0 keeps the legacy dense pipeline for A/B
-// comparison. Both paths use the plane-blocked reductions of
-// grid/sharded_field.h for the charge normalization, the L1 convergence
-// metric and the Pulay dots, which is what makes the equality exact.
+// worker count; n_shards = 0 is the dense production path (the full
+// grid on one node, as the Fig. 6 alloy runs). Both use the plane-blocked
+// reductions of grid/sharded_field.h for the charge normalization, the
+// L1 convergence metric and the Pulay dots, which is what makes the
+// equality exact.
 #pragma once
 
 #include <cstdint>
@@ -147,12 +159,12 @@ struct Ls3dfProgress {
   bool fp32 = false;     // this iteration ran the fp32 fast path
   double wall_s = 0;     // measured iteration wall seconds
   // Per-phase seconds attributed to this iteration (profiler deltas;
-  // under overlap these are the attributed per-node busy sums).
+  // on the production path these are the attributed per-node busy sums).
   double gen_vf_s = 0;
   double petot_s = 0;
   double gen_dens_s = 0;
   double genpot_s = 0;
-  double mix_s = 0;       // overlap driver only; 0 on the phased paths
+  double mix_s = 0;       // 0 on the reference path
   double checkpoint_s = 0;
 };
 
@@ -187,14 +199,14 @@ struct Ls3dfOptions {
   int n_workers = 1;                // threads for PEtot_F
   // Max fragments per same-size-class batch in PEtot_F. A batch is the
   // schedulable unit: one fused Hamiltonian application / GEMM sweep
-  // serves all members (bit-identical to per-fragment solves). 0 disables
-  // batching and restores the per-fragment LPT dispatch.
+  // serves all members (bit-identical to per-fragment solves). > 0 runs
+  // the production driver; 0 selects the reference driver (dense,
+  // phased, per-fragment LPT dispatch) and so requires n_shards == 0.
   int batch_width = 4;
   // x-slab shards for the global grid (density, potentials, mixing,
-  // GENPOT FFT). 0 = legacy dense path (full grid on one node); > 0 is
-  // clamped to the global x extent and to the selected transport's rank
-  // ceiling (transport_max_ranks). Results are bit-identical either
-  // way.
+  // GENPOT FFT). 0 = dense (full grid on one node); > 0 is clamped to
+  // the global x extent and to the selected transport's rank ceiling
+  // (transport_max_ranks). Results are bit-identical either way.
   int n_shards = 0;
   // Exchange backend for the sharded collectives (transport/transport.h):
   // kInProc (default) keeps today's zero-copy logical ranks; kProc runs
@@ -204,24 +216,6 @@ struct Ls3dfOptions {
   // is 0.
   TransportKind transport = TransportKind::kInProc;
   bool compute_energy = true;
-  // Barrier-free inner iteration: run each outer SCF iteration as a
-  // TaskGraph of per-batch restrict -> solve -> patch chains with
-  // ordered slab commits (see the architecture block above). Requires
-  // batching (batch_width > 0) and at least one fragment; otherwise the
-  // phased path runs. Any transport qualifies, SPMD included: the gate
-  // reads only options and the global fragment count, so every rank
-  // takes the same path. false keeps the phased loop for A/B — results
-  // are bit-identical either way.
-  bool overlap = true;
-  // Live inner-lane donation (parallel/scheduler.h, LaneBudget): batched
-  // PEtot_F solves draw their inner-lane width from a live budget shared
-  // by the dispatch round's groups (phased) or solve chains (overlap);
-  // a holder that retires donates its lanes, so tail solves widen
-  // mid-flight instead of grinding at the fixed n_workers / n_groups
-  // split. Every batched kernel is worker-count-invariant, so results
-  // are bit-identical with donation on or off — false keeps the fixed
-  // split for A/B (the equivalence suite draws both).
-  bool donate = true;
   // Eigensolver precision policy (see Precision above). kMixed runs the
   // fp32 fast path only on the batched all-band path (all_band &&
   // batch_width > 0) and only while the previous iteration's L1 residual
@@ -243,8 +237,8 @@ struct Ls3dfOptions {
   // of the PEtot_F cost lives anyway (the L1 falls orders of magnitude
   // in the first few iterations, Fig. 6).
   double promote_factor = 400.0;
-  // Test seam: invoked at the start of every batch solve (phased and
-  // overlapped dispatch) with the batch index. A throw propagates as a
+  // Test seam: invoked at the start of every batch solve (the graph's
+  // solve nodes and the petot_f hook) with the batch index. A throw propagates as a
   // clean latched error from solve(); the failure-propagation suite uses
   // it to inject eigensolver faults and worker kills. Null in production.
   std::function<void(int batch)> on_batch_solve;
@@ -290,13 +284,24 @@ struct Ls3dfOptions {
   // Execution width is arithmetically invisible everywhere it is
   // consumed (ordered reductions, ordered-commit patching, worker-
   // invariant batched kernels), so a mid-run change of allowance cannot
-  // change a bit of any result; in the overlapped driver the graph
+  // change a bit of any result; in the production driver the graph
   // topology is built once from n_workers and the live value flows
-  // through the per-iteration LaneBudget reset (and, with donate on,
-  // the per-sweep allowance re-reads). An execution knob: never part of
-  // the state fingerprint. Null keeps the fixed n_workers width.
+  // through the per-iteration LaneBudget reset and the per-sweep
+  // allowance re-reads. An execution knob: never part of the state
+  // fingerprint. Null keeps the fixed n_workers width.
   std::function<int()> lane_allowance;
 };
+
+// Throws std::invalid_argument unless every division component is 1 or
+// >= 3 (a division of exactly 2 is structurally degenerate: the size-2
+// fragments wrap the whole axis and carry no artificial boundary, so the
+// negative size-1 fragments' boundary effects have nothing to cancel
+// against), points_per_cell >= 4, batch_width >= 0, n_shards >= 0, and
+// batch_width == 0 only with n_shards == 0 (the reference driver is
+// dense). Returns `opt`. Ls3dfSolver's constructor and
+// SolverService::submit() both call it, so a bad configuration is
+// refused up front instead of hanging or crashing a solve.
+const Ls3dfOptions& validate(const Ls3dfOptions& opt);
 
 struct Ls3dfResult {
   FieldR v_eff;                      // converged global effective potential
@@ -307,13 +312,14 @@ struct Ls3dfResult {
   bool converged = false;
   double charge_patch_error = 0;     // |int rho_patched - N_e| before rescale
   // Gen_VF / PEtot_F / Gen_dens / GENPOT, plus the GENPOT.transpose
-  // sub-phase (the all-to-all cost) on the sharded path. Under overlap
-  // the four phase keys hold attributed per-node busy time (disjoint
-  // windows no longer exist), plus "Mix" (L1 metric + mixer update) and
+  // sub-phase (the all-to-all cost) on the sharded path. On the
+  // production path the four phase keys hold attributed per-node busy
+  // time (disjoint windows no longer exist), plus "Mix" (L1 metric +
+  // mixer update) and
   // "Iter.wall" (measured iteration wall) — on one worker lane the
   // attributed keys sum to Iter.wall.
   PhaseProfiler profile;
-  // Per-chain attribution (overlap mode; empty when phased): chain b is
+  // Per-chain attribution (empty on the reference path): chain b is
   // batch b's restrict -> solve -> ordered-patch-commit chain, seconds
   // summed across outer iterations.
   struct ChainTimes {
@@ -322,7 +328,7 @@ struct Ls3dfResult {
   std::vector<ChainTimes> chain_times;
   // Measured phase overlap, averaged over iterations: (sum of phase
   // window lengths - their union) / iteration wall. 0 when phases run
-  // back to back (the phased path); > 0 when chains interleave phase
+  // back to back (the reference path); > 0 when chains interleave phase
   // windows — even on one core, where the win is structural, not wall
   // time.
   double overlap_fraction = 0;
@@ -365,9 +371,9 @@ class Ls3dfSolver {
   // FNV-1a fingerprint over the physical problem and every option that
   // shapes the numerical trajectory. Snapshots embed it; resume()
   // refuses a snapshot whose fingerprint differs. Bit-invariant knobs
-  // (worker count, batch width, transport, overlap, donation, iteration
-  // cap, checkpoint settings) are deliberately excluded so a resume may
-  // run on a different execution configuration.
+  // (worker count, batch width, transport, iteration cap, checkpoint
+  // settings) are deliberately excluded so a resume may run on a
+  // different execution configuration.
   std::uint64_t state_fingerprint() const;
 
   // Individual phases, exposed for tests and benchmarks. gen_vf must be
@@ -399,9 +405,6 @@ class Ls3dfSolver {
   // failure-propagation suite downcasts it to kill a proc worker
   // mid-solve.
   Transport* shard_transport_object() const;
-  // Whether solve() will run the barrier-free TaskGraph iteration (the
-  // overlap option gated on batching and a non-SPMD transport).
-  bool overlap_active() const;
 
   // Patched quantum-mechanical energies (kinetic + nonlocal), valid after
   // petot_f().
@@ -443,9 +446,9 @@ class Ls3dfSolver {
   const std::vector<double>& measured_fragment_seconds_f32() const {
     return measured_seconds_f32_;
   }
-  // Cumulative lane-donation events across all solve() calls (a retiring
-  // batch/group left live holders to widen; parallel/scheduler.h). 0
-  // when opt.donate is false or batching is off.
+  // Cumulative lane-donation events across all solve() calls and
+  // batched petot_f() calls (a retiring batch/group left live holders to
+  // widen; parallel/scheduler.h). 0 on the reference path.
   long donated_lane_events() const;
   // Whether the NEXT petot_f() call would run the fp32 fast path
   // (reflects the most recent precision-policy update).
@@ -506,33 +509,33 @@ class Ls3dfSolver {
   bool mixed_precision_available() const;
   void update_precision_policy(const std::vector<double>& conv_history);
   // One batch's lockstep solve + densities + measured-cost bookkeeping:
-  // the body shared by the phased batched dispatch and the overlap
-  // chains' solve nodes. `group` is the executed_group_of marker (the
-  // LPT group when phased, the chain/batch id under overlap); `inner`
-  // drives the batched kernels' internal work grids; `analytic`
-  // apportions the measured batch time over members.
-  void solve_batch(int b, int group, int inner,
-                   const std::vector<double>& analytic);
+  // the body shared by the batched petot_f() hook and the graph's solve
+  // nodes. `group` is the executed_group_of marker (the LPT group in the
+  // hook, the chain/batch id in the graph); the lane budget's live
+  // allowance drives the batched kernels' internal work grids;
+  // `analytic` apportions the measured batch time over members.
+  void solve_batch(int b, int group, const std::vector<double>& analytic);
   // Presize every batch workspace to its members' solve extents (the
   // steady state allocates nothing afterwards).
   void prepare_batch_workspaces();
   std::vector<double> analytic_costs() const;
   void record_measured(int f, double seconds);
   // Does fragment f's interior window (the Gen_dens commit region) touch
-  // any global x plane in [x_begin, x_end)? Pure geometry — the overlap
+  // any global x plane in [x_begin, x_end)? Pure geometry — the graph's
   // chains use it to skip no-op slab commits (and their solve edges).
   bool fragment_touches_planes(int f, int x_begin, int x_end) const;
 
-  // The three solve() drivers; identical results, bit for bit.
-  Ls3dfResult solve_dense();
-  Ls3dfResult solve_sharded();
-  // The barrier-free driver (dense and sharded): per-batch TaskGraph
+  // The two solve() drivers, identical results bit for bit, and the
+  // batch_width dispatch between them that solve() and resume() share.
+  Ls3dfResult run_driver();
+  // The reference driver (batch_width == 0): dense, phased, per-fragment.
+  Ls3dfResult solve_reference();
+  // The production driver (dense and sharded): per-batch TaskGraph
   // chains with ordered slab commits, graph-extended GENPOT on shards.
   Ls3dfResult solve_overlap();
   // Sharded phase bodies (n_shards > 0). gen_dens_sharded patches into
   // the internal sharded density; genpot_sharded assembles V_out on
   // slabs and records the GENPOT.transpose sub-phase.
-  void gen_vf_sharded(const ShardedFieldR& v);
   void gen_dens_sharded() const;
   void genpot_sharded(const ShardedFieldR& rho, ShardedFieldR& v_out) const;
   // --- rank-local (SPMD) phase bodies -----------------------------------
@@ -553,9 +556,9 @@ class Ls3dfSolver {
   int fragment_owner(int f) const;  // rank owning fragment f (SPMD)
   void spmd_fill_halo(const ShardedFieldR& v) const;
   void spmd_extract(const ShardedFieldR& v, Vec3i offset, FieldR& out) const;
-  // Window exchange, split for the overlapped driver: size (and cache)
+  // Window exchange, split for the production driver: size (and cache)
   // the send lanes once per iteration, pack fragments as their solves
-  // retire, exchange, apply in order. The phased path calls them
+  // retire, exchange, apply in order. The gen_dens() hook calls them
   // back-to-back.
   void spmd_size_window_lanes() const;
   void spmd_pack_fragment(int f) const;
@@ -585,7 +588,7 @@ class Ls3dfSolver {
   // options' trace recorder, this instance's metrics registry and FFT
   // plan cache, and the local SPMD rank (0 otherwise).
   ObsContext obs_ctx() const;
-  // End-of-iteration bookkeeping shared by the three drivers: pushes
+  // End-of-iteration bookkeeping shared by the two drivers: pushes
   // the per-iteration metrics series (residual, band energy, wall) and
   // invokes the progress callback with phase-time deltas against
   // `prof0`, the profiler totals captured at iteration start.
@@ -620,8 +623,9 @@ class Ls3dfSolver {
   std::vector<double> measured_seconds_;
   std::vector<double> measured_seconds_f32_;
   // Live inner-lane budget of the current PEtot_F dispatch round
-  // (parallel/scheduler.h): holders are LPT groups when phased, solve
-  // chains under overlap. Donation events accumulate across solve()s.
+  // (parallel/scheduler.h): holders are LPT groups in the batched
+  // petot_f() hook, solve chains in the graph. Donation events
+  // accumulate across solve()s.
   LaneBudget lane_budget_;
   // Effective lane count for the current outer iteration:
   // min(n_workers, lane_allowance()) — refreshed at every iteration

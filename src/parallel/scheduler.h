@@ -84,7 +84,7 @@ class LaneBudget {
 // donates its lanes to the survivors — which pick them up at their next
 // allowance() read (the solver re-reads it at every outer-iteration
 // boundary via Ls3dfOptions::lane_allowance, and per sweep through its
-// own LaneBudget when donation is on). Execution width is arithmetically
+// own LaneBudget). Execution width is arithmetically
 // invisible (thread_pool.h determinism contract), so the split schedule
 // can never change a bit of any job's result. All state is atomic:
 // join/leave/allowance never take a lock.

@@ -55,7 +55,6 @@ std::string instance_key(const Structure& s, const Ls3dfOptions& o) {
     << o.mix_alpha << '|' << o.seed << '|' << o.n_workers << '|'
     << o.batch_width << '|' << o.n_shards << '|'
     << static_cast<int>(o.transport) << '|' << o.compute_energy << '|'
-    << o.overlap << '|' << o.donate << '|'
     << static_cast<int>(o.precision) << '|' << o.promote_factor;
   return k.str();
 }
@@ -405,6 +404,10 @@ SolverService::~SolverService() {
 
 SolverService::JobId SolverService::submit(const Structure& structure,
                                            JobSpec spec) {
+  // Refuse a bad configuration here, on the caller's thread: a driver
+  // thread would otherwise only fail (or, for a degenerate grid, hang)
+  // once it constructs the solver.
+  validate(spec.options);
   auto job = std::make_unique<Job>(structure, std::move(spec));
   const bool cacheable =
       !job->spec.options.transport_factory && !job->spec.options.on_batch_solve;

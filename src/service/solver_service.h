@@ -52,12 +52,12 @@
 //     the budget while it runs and leaves when it finishes; its live
 //     allowance is max(1, total / live_jobs), clamped by the job's
 //     max_lanes cap. The solver re-reads the allowance at every outer-
-//     iteration boundary (Ls3dfOptions::lane_allowance) and — with
-//     donation on — feeds it through its own LaneBudget to every batched
-//     kernel sweep, so a finishing job's lanes reach the survivors
-//     mid-solve. Worker width is arithmetically invisible (ordered
-//     reductions, ordered-commit patching, worker-invariant kernels), so
-//     every job's result stays bit-identical to a standalone
+//     iteration boundary (Ls3dfOptions::lane_allowance) and feeds it
+//     through its own LaneBudget to every batched kernel sweep, so a
+//     finishing job's lanes reach the survivors mid-solve. Worker width
+//     is arithmetically invisible (ordered reductions, ordered-commit
+//     patching, worker-invariant kernels), so every job's result stays
+//     bit-identical to a standalone
 //     Ls3dfSolver::solve() with the same options — the service-vs-
 //     standalone dimension of the equivalence suite locks this in.
 //
@@ -179,7 +179,9 @@ class SolverService {
   SolverService(const SolverService&) = delete;
   SolverService& operator=(const SolverService&) = delete;
 
-  // Enqueue a job (copies the structure). Thread-safe.
+  // Enqueue a job (copies the structure). Thread-safe. Throws
+  // std::invalid_argument, and enqueues nothing, when spec.options fails
+  // validate() (fragment/ls3df.h).
   JobId submit(const Structure& structure, JobSpec spec);
 
   // Block until the job reaches kDone or kFailed.

@@ -1,10 +1,10 @@
 // MPI-launched equivalence harness (not a gtest binary): run under
 // `mpirun -np {2,4}` it asserts that a real SPMD launch — one MPI
 // process per shard rank, each holding only ~global/N of the sharded
-// state — reproduces the dense phased single-process reference bit for
-// bit: density, effective potential, convergence history, charge-patch
-// error and total energy, on both the phased loop and the barrier-free
-// overlapped iteration, plus a checkpoint/resume round trip from the
+// state — reproduces the dense phased per-fragment single-process
+// reference bit for bit: density, effective potential, convergence
+// history, charge-patch error and total energy of the production
+// driver's SPMD solve, plus a checkpoint/resume round trip from the
 // previous snapshot generation. Every rank computes the dense reference
 // itself (it is deterministic), compares locally, and the verdict is
 // MPI_MIN-reduced so any rank's mismatch fails the launch. Exit status
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   Structure s = h2_chain(ncells);
   Ls3dfOptions lo = base_options(ncells);
 
-  // Dense phased single-worker reference, computed identically on every
+  // Reference-driver single-worker solve, computed identically on every
   // rank (the solver is deterministic).
   Ls3dfResult ref;
   Vec3i g{};
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     Ls3dfOptions d = lo;
     d.n_shards = 0;
     d.n_workers = 1;
-    d.overlap = false;
+    d.batch_width = 0;
     Ls3dfSolver solver(s, d);
     g = solver.global_grid();
     ref = solver.solve();
@@ -102,9 +102,8 @@ int main(int argc, char** argv) {
   const std::size_t slab_ceil =
       static_cast<std::size_t>((g.x + world - 1) / world) * g.y * g.z;
 
-  const auto spmd_options = [&](bool overlap) {
+  const auto spmd_options = [&]() {
     Ls3dfOptions o = lo;
-    o.overlap = overlap;
     o.n_shards = world;
     o.n_workers = 1;
     o.transport = TransportKind::kMpi;
@@ -115,12 +114,10 @@ int main(int argc, char** argv) {
   };
 
   bool ok = true;
-  for (bool overlap : {false, true}) {
-    Ls3dfSolver solver(s, spmd_options(overlap));
+  {
+    Ls3dfSolver solver(s, spmd_options());
     const Ls3dfResult r = solver.solve();
-    ok = bits_equal(r, ref, overlap ? "overlap solve" : "phased solve",
-                    self) &&
-         ok;
+    ok = bits_equal(r, ref, "spmd solve", self) && ok;
     // Rank-local residency: this process's resident sharded state stays
     // slab-proportional (same budget the thread-SPMD suite pins).
     const std::size_t fp = solver.shard_rank_footprint(self);
@@ -145,12 +142,12 @@ int main(int argc, char** argv) {
   }
   MPI_Barrier(MPI_COMM_WORLD);
   {
-    Ls3dfOptions o = spmd_options(false);
+    Ls3dfOptions o = spmd_options();
     o.checkpoint.path = path;
     const Ls3dfResult full = Ls3dfSolver(s, o).solve();
     ok = bits_equal(full, ref, "checkpointed solve", self) && ok;
     MPI_Barrier(MPI_COMM_WORLD);  // rank 0's final commit is visible
-    Ls3dfSolver resumer(s, spmd_options(false));
+    Ls3dfSolver resumer(s, spmd_options());
     const Ls3dfResult r = resumer.resume(path + ".1");
     ok = bits_equal(r, ref, "resume from iteration-2 snapshot", self) && ok;
   }

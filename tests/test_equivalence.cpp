@@ -1,15 +1,15 @@
-// Randomized cross-path equivalence suite: with four execution paths
-// live (dense/sharded x inproc/proc x batched/per-fragment) and the
-// barrier-free TaskGraph iteration on top, the bit-identity contract is
-// a combinatorial surface no hand-picked configuration list covers. A
-// seeded generator draws (division, batch_width, n_shards, transport,
-// workers, overlap, donate) tuples and asserts that a full solve()
-// reproduces
-// the dense phased single-worker reference bit for bit — density,
-// effective potential, convergence history, charge-patch error and
-// total energy. Deterministic: the suite seed is fixed (override with
-// LS3DF_EQUIV_SEED, scale with LS3DF_EQUIV_DRAWS), and every failure
-// message carries the seed + draw index for replay.
+// Randomized cross-path equivalence suite: the production driver runs
+// dense or sharded, on the inproc or proc transport, at any batch width
+// and worker count, and every combination must match the per-fragment
+// reference driver — a combinatorial surface no hand-picked
+// configuration list covers. A seeded generator draws (division,
+// batch_width, n_shards, transport, workers) tuples and asserts that a
+// full solve() reproduces the dense phased per-fragment single-worker
+// reference bit for bit — density, effective potential, convergence
+// history, charge-patch error and total energy. Deterministic: the
+// suite seed is fixed (override with LS3DF_EQUIV_SEED, scale with
+// LS3DF_EQUIV_DRAWS), and every failure message carries the seed + draw
+// index for replay.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -62,21 +62,17 @@ Ls3dfOptions base_options(int ncells) {
 
 struct Draw {
   int ncells;       // division {ncells, 1, 1} on an ncells-cell chain
-  int batch_width;  // 0 = per-fragment phased dispatch
+  int batch_width;  // 0 = the reference driver (dense only)
   int n_shards;     // 0 = dense grid
   TransportKind transport;
   int workers;
-  bool overlap;
-  bool donate;  // live lane donation: must be bit-identical either way
 
   std::string describe(std::uint64_t seed, int index) const {
     std::ostringstream os;
     os << "replay: LS3DF_EQUIV_SEED=" << seed << " draw #" << index
        << " {division=" << ncells << "x1x1 batch_width=" << batch_width
        << " n_shards=" << n_shards << " transport="
-       << transport_name(transport) << " workers=" << workers
-       << " overlap=" << (overlap ? "on" : "off")
-       << " donate=" << (donate ? "on" : "off") << "}";
+       << transport_name(transport) << " workers=" << workers << "}";
     return os.str();
   }
 };
@@ -88,6 +84,8 @@ Draw random_draw(Rng& rng) {
   d.batch_width = widths[rng.uniform_int(4)];
   const int shards[] = {0, 0, 1, 2, 3};
   d.n_shards = shards[rng.uniform_int(5)];
+  // The reference driver is dense: width 0 is drawn only unsharded.
+  if (d.batch_width == 0) d.n_shards = 0;
   // The proc transport forks one worker process per shard; keep it a
   // minority draw so the suite stays fast.
   d.transport = (d.n_shards > 0 && rng.uniform() < 0.3)
@@ -95,8 +93,6 @@ Draw random_draw(Rng& rng) {
                     : TransportKind::kInProc;
   const int workers[] = {1, 2, 4};
   d.workers = workers[rng.uniform_int(3)];
-  d.overlap = rng.uniform() < 0.6;
-  d.donate = rng.uniform() < 0.5;
   return d;
 }
 
@@ -108,17 +104,15 @@ TEST(CrossPathEquivalence, RandomizedDrawsMatchDenseReferenceBitwise) {
   if (const char* env = std::getenv("LS3DF_EQUIV_DRAWS"))
     n_draws = std::atoi(env);
 
-  // One dense phased single-worker reference per division, built lazily.
+  // One reference-driver single-worker solve per division, built lazily.
   std::map<int, Ls3dfResult> refs;
   const auto reference = [&](int ncells) -> const Ls3dfResult& {
     auto it = refs.find(ncells);
     if (it == refs.end()) {
       Structure s = h2_chain(ncells);
       Ls3dfOptions lo = base_options(ncells);
-      lo.overlap = false;
       lo.batch_width = 0;
       lo.n_workers = 1;
-      lo.donate = false;  // reference is the fixed-lane path
       Ls3dfSolver solver(s, lo);
       it = refs.emplace(ncells, solver.solve()).first;
     }
@@ -127,17 +121,17 @@ TEST(CrossPathEquivalence, RandomizedDrawsMatchDenseReferenceBitwise) {
 
   Rng rng(seed);
   // The first draws are pinned to the corners a random sweep can miss:
-  // overlap on the dense and proc-sharded paths, the per-fragment phased
-  // dispatch, and donation on the widest-contended shapes (many groups,
-  // few workers: retirement actually widens the surviving lanes).
+  // the dense path at one and four workers, in-proc and proc sharding,
+  // width 1 on the widest-contended shape (many chains, few lanes:
+  // retirement actually widens the surviving lanes), and the
+  // per-fragment reference itself at two workers.
   std::vector<Draw> draws = {
-      {3, 4, 0, TransportKind::kInProc, 1, true, true},
-      {3, 4, 0, TransportKind::kInProc, 4, true, true},
-      {3, 2, 3, TransportKind::kInProc, 2, true, true},
-      {3, 4, 2, TransportKind::kProc, 2, true, true},
-      {3, 0, 2, TransportKind::kInProc, 2, false, true},
-      {4, 1, 0, TransportKind::kInProc, 4, true, true},
-      {4, 1, 0, TransportKind::kInProc, 4, false, true},
+      {3, 4, 0, TransportKind::kInProc, 1},
+      {3, 4, 0, TransportKind::kInProc, 4},
+      {3, 2, 3, TransportKind::kInProc, 2},
+      {3, 4, 2, TransportKind::kProc, 2},
+      {4, 1, 0, TransportKind::kInProc, 4},
+      {3, 0, 0, TransportKind::kInProc, 2},
   };
   while (static_cast<int>(draws.size()) < n_draws)
     draws.push_back(random_draw(rng));
@@ -153,8 +147,6 @@ TEST(CrossPathEquivalence, RandomizedDrawsMatchDenseReferenceBitwise) {
     lo.n_shards = d.n_shards;
     lo.transport = d.transport;
     lo.n_workers = d.workers;
-    lo.overlap = d.overlap;
-    lo.donate = d.donate;
     Ls3dfSolver solver(s, lo);
     Ls3dfResult r = solver.solve();
 
@@ -264,24 +256,24 @@ void expect_bitwise_equal(const Ls3dfResult& r, const Ls3dfResult& ref) {
 // The observability dimension: a trace recorder, the metrics registry
 // and the per-iteration progress callback are execution knobs — a solve
 // with all of them live must reproduce the untraced bits exactly, on
-// the dense phased path, the sharded path, the barrier-free overlapped
-// path and a thread-SPMD group.
+// the reference driver, the dense and sharded production paths and a
+// thread-SPMD group.
 TEST(CrossPathEquivalence, TracingAndMetricsAreBitwiseInvisible) {
   const Structure s = h2_chain(3);
   const Ls3dfOptions base = base_options(3);
 
   struct Config {
+    int batch_width;
     int n_shards;
-    bool overlap;
     const char* label;
   };
-  for (const Config& c : {Config{0, false, "dense"},
-                          Config{2, false, "sharded"},
-                          Config{2, true, "overlap"}}) {
+  for (const Config& c : {Config{0, 0, "reference"},
+                          Config{base.batch_width, 0, "dense"},
+                          Config{base.batch_width, 2, "sharded"}}) {
     SCOPED_TRACE(c.label);
     Ls3dfOptions lo = base;
+    lo.batch_width = c.batch_width;
     lo.n_shards = c.n_shards;
-    lo.overlap = c.overlap;
     lo.n_workers = 2;
     Ls3dfResult ref;
     {
@@ -329,7 +321,6 @@ TEST(CrossPathEquivalence, TracingAndMetricsAreBitwiseInvisible) {
       Ls3dfOptions o = base;
       o.n_shards = shards;
       o.n_workers = 1;
-      o.overlap = true;
       o.transport = TransportKind::kThreads;
       o.transport_factory = [&group, rk](int, int, std::size_t) {
         return std::move(group[rk]);
@@ -355,10 +346,10 @@ TEST(CrossPathEquivalence, TracingAndMetricsAreBitwiseInvisible) {
 // invisible.
 TEST(CrossPathEquivalence, ServiceJobsMatchDenseReferenceBitwise) {
   const std::vector<Draw> draws = {
-      {3, 4, 0, TransportKind::kInProc, 4, true, true},
-      {3, 0, 2, TransportKind::kInProc, 2, false, true},
-      {4, 1, 0, TransportKind::kInProc, 4, true, false},
-      {3, 4, 2, TransportKind::kProc, 2, true, true},
+      {3, 4, 0, TransportKind::kInProc, 4},
+      {3, 0, 0, TransportKind::kInProc, 2},
+      {4, 1, 0, TransportKind::kInProc, 4},
+      {3, 4, 2, TransportKind::kProc, 2},
   };
 
   std::map<int, Ls3dfResult> refs;
@@ -366,10 +357,8 @@ TEST(CrossPathEquivalence, ServiceJobsMatchDenseReferenceBitwise) {
     if (refs.count(d.ncells)) continue;
     Structure s = h2_chain(d.ncells);
     Ls3dfOptions lo = base_options(d.ncells);
-    lo.overlap = false;
     lo.batch_width = 0;
     lo.n_workers = 1;
-    lo.donate = false;
     refs.emplace(d.ncells, Ls3dfSolver(s, lo).solve());
   }
 
@@ -385,8 +374,6 @@ TEST(CrossPathEquivalence, ServiceJobsMatchDenseReferenceBitwise) {
     lo.n_shards = d.n_shards;
     lo.transport = d.transport;
     lo.n_workers = d.workers;
-    lo.overlap = d.overlap;
-    lo.donate = d.donate;
     spec.options = lo;
     ids.push_back(service.submit(h2_chain(d.ncells), std::move(spec)));
   }

@@ -175,6 +175,10 @@ TEST(Fft1D, SmoothnessDetection) {
   EXPECT_FALSE(Fft1D::is_smooth(11));
   EXPECT_FALSE(Fft1D::is_smooth(2 * 13));
   EXPECT_FALSE(Fft1D::is_smooth(97));
+  // Non-positive sizes are not transform lengths; 0 in particular must not
+  // enter the divide-out loop, since 0 % p == 0 for every p.
+  EXPECT_FALSE(Fft1D::is_smooth(0));
+  EXPECT_FALSE(Fft1D::is_smooth(-8));
 }
 
 TEST(Fft1D, GoodFftSize) {

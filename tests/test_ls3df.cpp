@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -66,13 +67,38 @@ ScfResult direct_reference(const Structure& s, const Ls3dfSolver& solver,
   return run_scf(h, vion, effective_potential(vion, rho0, s.lattice()), so);
 }
 
-TEST(Ls3df, RejectsDegenerateDivisionOfTwo) {
-  Structure s = h2_chain(2);
-  Ls3dfOptions lo = chain_options();
-  lo.division = {2, 1, 1};
-  EXPECT_THROW(Ls3dfSolver(s, lo), std::invalid_argument);
-  lo.division = {1, 2, 1};
-  EXPECT_THROW(Ls3dfSolver(s, lo), std::invalid_argument);
+TEST(Ls3df, RejectsInvalidOptions) {
+  // Every malformed configuration is refused with invalid_argument before
+  // any work starts: a zero grid extent would otherwise reach the FFT
+  // size probes, and a negative division the decomposition's allocator.
+  struct Case {
+    const char* what;
+    std::function<void(Ls3dfOptions&)> set;
+  };
+  const Case cases[] = {
+      {"division 2 on x", [](Ls3dfOptions& o) { o.division = {2, 1, 1}; }},
+      {"division 2 on y", [](Ls3dfOptions& o) { o.division = {1, 2, 1}; }},
+      {"division 0", [](Ls3dfOptions& o) { o.division = {0, 1, 1}; }},
+      {"division -3", [](Ls3dfOptions& o) { o.division = {-3, 1, 1}; }},
+      {"points_per_cell 0", [](Ls3dfOptions& o) { o.points_per_cell = 0; }},
+      {"points_per_cell 3", [](Ls3dfOptions& o) { o.points_per_cell = 3; }},
+      {"batch_width -1", [](Ls3dfOptions& o) { o.batch_width = -1; }},
+      {"n_shards -1", [](Ls3dfOptions& o) { o.n_shards = -1; }},
+      {"sharded reference",
+       [](Ls3dfOptions& o) {
+         o.batch_width = 0;
+         o.n_shards = 2;
+       }},
+  };
+  Structure s = h2_chain(3);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    Ls3dfOptions lo = chain_options();
+    c.set(lo);
+    EXPECT_THROW(validate(lo), std::invalid_argument);
+    EXPECT_THROW(Ls3dfSolver(s, lo), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(validate(chain_options()));
 }
 
 TEST(Ls3df, SingleFragmentLimitIsExactlyDirectDft) {
@@ -502,9 +528,10 @@ TEST(Ls3df, ShardedSolveBitIdenticalToDenseAcrossShardsAndWorkers) {
 
   Ls3dfResult ref;
   {
-    lo.n_shards = 0;
-    lo.n_workers = 1;
-    Ls3dfSolver solver(s, lo);
+    Ls3dfOptions d = lo;
+    d.batch_width = 0;  // the dense per-fragment reference driver
+    d.n_workers = 1;
+    Ls3dfSolver solver(s, d);
     ref = solver.solve();
   }
   // Transport × shards × workers: the proc backend (one forked worker
@@ -542,6 +569,9 @@ TEST(Ls3df, ShardedSolveBitIdenticalToDenseAcrossShardsAndWorkers) {
               << shards << " workers=" << workers << " "
               << transport_name(kind);
         ASSERT_EQ(r.energy.total, ref.energy.total);
+        // The graph-extended GENPOT seam keeps the transpose sub-phase:
+        // one sample per genpot (initial + one per iteration).
+        EXPECT_EQ(r.profile.count("GENPOT.transpose"), r.iterations + 1);
       }
     }
   }
@@ -702,27 +732,27 @@ TEST(Ls3df, ShardExchangeBuffersSteadyStateAllocatesNothing) {
 TEST(Ls3df, OverlapBitIdenticalToPhasedWithChainAttribution) {
   // The tentpole contract: the barrier-free TaskGraph iteration (per-
   // batch restrict -> solve -> ordered-patch-commit chains) reproduces
-  // the phased loop bit for bit, for any worker count — and reports the
-  // per-chain attribution the phased path cannot have.
+  // the phased per-fragment reference loop bit for bit, for any worker
+  // count — and reports the per-chain attribution the reference cannot
+  // have.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 3;
   lo.l1_tol = 0.0;  // fixed number of outer iterations
+  const int width = lo.batch_width;
 
-  lo.overlap = false;
+  lo.batch_width = 0;
   lo.n_workers = 1;
-  Ls3dfSolver phased(s, lo);
-  EXPECT_FALSE(phased.overlap_active());
-  Ls3dfResult ref = phased.solve();
+  Ls3dfSolver reference(s, lo);
+  Ls3dfResult ref = reference.solve();
   EXPECT_TRUE(ref.chain_times.empty());
   EXPECT_EQ(ref.overlap_fraction, 0.0);
   EXPECT_EQ(ref.profile.count("Iter.wall"), 0);
 
   for (int workers : {1, 2, 4}) {
-    lo.overlap = true;
+    lo.batch_width = width;
     lo.n_workers = workers;
     Ls3dfSolver solver(s, lo);
-    EXPECT_TRUE(solver.overlap_active());
     Ls3dfResult r = solver.solve();
     ASSERT_EQ(r.iterations, ref.iterations);
     ASSERT_EQ(r.conv_history.size(), ref.conv_history.size());
@@ -751,43 +781,10 @@ TEST(Ls3df, OverlapBitIdenticalToPhasedWithChainAttribution) {
   }
 }
 
-TEST(Ls3df, OverlapShardedBitIdenticalToPhasedSharded) {
-  // The graph-extended GENPOT seam (per-rank partial sums + chained
-  // collectives) must not change a bit of the sharded pipeline, on
-  // either in-process transport.
-  Structure s = h2_chain(3);
-  Ls3dfOptions lo = chain_options();
-  lo.max_iterations = 2;
-  lo.l1_tol = 0.0;
-  lo.n_shards = 3;
-  lo.n_workers = 2;
-
-  lo.overlap = false;
-  Ls3dfResult ref = Ls3dfSolver(s, lo).solve();
-  for (TransportKind kind : {TransportKind::kInProc, TransportKind::kProc}) {
-    lo.overlap = true;
-    lo.transport = kind;
-    Ls3dfSolver solver(s, lo);
-    EXPECT_TRUE(solver.overlap_active());
-    Ls3dfResult r = solver.solve();
-    ASSERT_EQ(r.conv_history.size(), ref.conv_history.size());
-    for (std::size_t i = 0; i < ref.conv_history.size(); ++i)
-      ASSERT_EQ(r.conv_history[i], ref.conv_history[i]) << transport_name(kind);
-    for (std::size_t i = 0; i < ref.rho.size(); ++i)
-      ASSERT_EQ(r.rho[i], ref.rho[i]) << "point " << i << " "
-                                      << transport_name(kind);
-    ASSERT_EQ(r.energy.total, ref.energy.total);
-    // The transpose sub-phase survives the graph restructuring: one
-    // sample per genpot (initial + one per iteration).
-    EXPECT_EQ(r.profile.count("GENPOT.transpose"), r.iterations + 1);
-  }
-}
-
 TEST(Ls3df, ThreadSpmdSolveBitIdenticalToDense) {
   // The rank-local SPMD contract: N OS threads, each owning one rank of
   // a make_thread_spmd_group and holding only ~global/N of every sharded
-  // container, reproduce the dense path bit for bit — on the phased loop
-  // and on the barrier-free overlapped iteration.
+  // container, reproduce the dense reference bit for bit.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 3;
@@ -799,64 +796,59 @@ TEST(Ls3df, ThreadSpmdSolveBitIdenticalToDense) {
     Ls3dfOptions d = lo;
     d.n_shards = 0;
     d.n_workers = 1;
-    d.overlap = false;
+    d.batch_width = 0;
     Ls3dfSolver solver(s, d);
     g = solver.global_grid();
     ref = solver.solve();
   }
-  for (bool overlap : {false, true}) {
-    for (int shards : {2, 4}) {
-      auto group = make_thread_spmd_group(shards);
-      std::vector<Ls3dfResult> res(shards);
-      std::vector<std::size_t> fp(shards, 0);
-      std::vector<std::thread> threads;
-      for (int r = 0; r < shards; ++r)
-        threads.emplace_back([&, r]() {
-          Ls3dfOptions o = lo;
-          o.overlap = overlap;
-          o.n_shards = shards;
-          o.n_workers = 1;
-          o.transport = TransportKind::kThreads;
-          o.transport_factory = [&group, r, shards](int n_ranks, int,
-                                                    std::size_t) {
-            EXPECT_EQ(n_ranks, shards);
-            return std::move(group[r]);
-          };
-          Ls3dfSolver solver(s, o);
-          res[r] = solver.solve();
-          fp[r] = solver.shard_rank_footprint(r);
-        });
-      for (auto& t : threads) t.join();
+  for (int shards : {2, 4}) {
+    auto group = make_thread_spmd_group(shards);
+    std::vector<Ls3dfResult> res(shards);
+    std::vector<std::size_t> fp(shards, 0);
+    std::vector<std::thread> threads;
+    for (int r = 0; r < shards; ++r)
+      threads.emplace_back([&, r]() {
+        Ls3dfOptions o = lo;
+        o.n_shards = shards;
+        o.n_workers = 1;
+        o.transport = TransportKind::kThreads;
+        o.transport_factory = [&group, r, shards](int n_ranks, int,
+                                                  std::size_t) {
+          EXPECT_EQ(n_ranks, shards);
+          return std::move(group[r]);
+        };
+        Ls3dfSolver solver(s, o);
+        res[r] = solver.solve();
+        fp[r] = solver.shard_rank_footprint(r);
+      });
+    for (auto& t : threads) t.join();
 
-      const std::size_t slab_ceil =
-          static_cast<std::size_t>((g.x + shards - 1) / shards) * g.y * g.z;
-      for (int r = 0; r < shards; ++r) {
-        SCOPED_TRACE(std::string("overlap=") + (overlap ? "on" : "off") +
-                     " shards=" + std::to_string(shards) + " rank=" +
-                     std::to_string(r));
-        ASSERT_EQ(res[r].iterations, ref.iterations);
-        ASSERT_EQ(res[r].conv_history.size(), ref.conv_history.size());
-        for (std::size_t i = 0; i < ref.conv_history.size(); ++i)
-          ASSERT_EQ(res[r].conv_history[i], ref.conv_history[i])
-              << "L1 metric differs at iteration " << i;
-        ASSERT_EQ(res[r].charge_patch_error, ref.charge_patch_error);
-        ASSERT_EQ(res[r].rho.size(), ref.rho.size());
-        for (std::size_t i = 0; i < ref.rho.size(); ++i)
-          ASSERT_EQ(res[r].rho[i], ref.rho[i])
-              << "density differs at point " << i;
-        for (std::size_t i = 0; i < ref.v_eff.size(); ++i)
-          ASSERT_EQ(res[r].v_eff[i], ref.v_eff[i])
-              << "potential differs at point " << i;
-        ASSERT_EQ(res[r].energy.total, ref.energy.total);
-        // True rank-local residency: resident doubles stay
-        // slab-proportional — no thread ever held a dense-grid-sized
-        // sharded state. The overlapped iteration keeps the Gen_VF halo
-        // lanes and the Gen_dens window lanes posted concurrently, so
-        // its budget sits a few slab-equivalents above the phased
-        // path's 16.
-        EXPECT_GT(fp[r], 0u);
-        EXPECT_LE(fp[r], 20 * slab_ceil);
-      }
+    const std::size_t slab_ceil =
+        static_cast<std::size_t>((g.x + shards - 1) / shards) * g.y * g.z;
+    for (int r = 0; r < shards; ++r) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " rank=" +
+                   std::to_string(r));
+      ASSERT_EQ(res[r].iterations, ref.iterations);
+      ASSERT_EQ(res[r].conv_history.size(), ref.conv_history.size());
+      for (std::size_t i = 0; i < ref.conv_history.size(); ++i)
+        ASSERT_EQ(res[r].conv_history[i], ref.conv_history[i])
+            << "L1 metric differs at iteration " << i;
+      ASSERT_EQ(res[r].charge_patch_error, ref.charge_patch_error);
+      ASSERT_EQ(res[r].rho.size(), ref.rho.size());
+      for (std::size_t i = 0; i < ref.rho.size(); ++i)
+        ASSERT_EQ(res[r].rho[i], ref.rho[i])
+            << "density differs at point " << i;
+      for (std::size_t i = 0; i < ref.v_eff.size(); ++i)
+        ASSERT_EQ(res[r].v_eff[i], ref.v_eff[i])
+            << "potential differs at point " << i;
+      ASSERT_EQ(res[r].energy.total, ref.energy.total);
+      // True rank-local residency: resident doubles stay
+      // slab-proportional — no thread ever held a dense-grid-sized
+      // sharded state. The graph keeps the Gen_VF halo lanes and the
+      // Gen_dens window lanes posted concurrently, so its budget sits
+      // a few slab-equivalents above the non-SPMD sharded path's 16.
+      EXPECT_GT(fp[r], 0u);
+      EXPECT_LE(fp[r], 20 * slab_ceil);
     }
   }
 }
@@ -878,7 +870,6 @@ TEST(Ls3df, ThreadSpmdCheckpointBytesMatchDenseAndResumeContinues) {
   lo.max_iterations = 2;
   lo.l1_tol = 0.0;
   lo.n_shards = 2;
-  lo.overlap = false;
 
   // Dense-per-process reference run, checkpointing every iteration.
   Ls3dfOptions dl = lo;
@@ -976,7 +967,7 @@ TEST(Ls3df, ThreadSpmdCheckpointBytesMatchDenseAndResumeContinues) {
 }
 
 TEST(Ls3df, OverlapProfileAttributionSumsToIterationWall) {
-  // Satellite contract: under overlap the phase keys hold attributed
+  // Satellite contract: in the graph the phase keys hold attributed
   // per-node busy time. On one worker lane nothing runs concurrently, so
   // the attributed keys must sum to the measured iteration wall within
   // 1% — and the phase windows still interleave (the depth-first chain

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,8 +66,8 @@ void expect_bitwise_equal(const Ls3dfResult& r, const Ls3dfResult& ref) {
 }
 
 // The four heterogeneous configurations the service tests multiplex:
-// dense batched, sharded overlapped with donation, per-fragment phased
-// with a different eigensolver budget, and proc-transport sharded.
+// dense batched, in-proc sharded, dense with a different eigensolver
+// budget, and proc-transport sharded.
 std::vector<std::pair<Structure, Ls3dfOptions>> job_mix() {
   std::vector<std::pair<Structure, Ls3dfOptions>> jobs;
   {
@@ -79,8 +80,6 @@ std::vector<std::pair<Structure, Ls3dfOptions>> job_mix() {
     Ls3dfOptions lo = base_options(4);
     lo.n_workers = 2;
     lo.n_shards = 2;
-    lo.overlap = true;
-    lo.donate = true;
     jobs.emplace_back(h2_chain(4), lo);
   }
   {
@@ -112,8 +111,6 @@ TEST(Service, TwoSolversOnTwoThreadsMatchSequentialBitwise) {
   Ls3dfOptions ob = base_options(4);
   ob.n_workers = 2;
   ob.n_shards = 2;
-  ob.overlap = true;
-  ob.donate = true;
 
   const Ls3dfResult ref_a = Ls3dfSolver(sa, oa).solve();
   const Ls3dfResult ref_b = Ls3dfSolver(sb, ob).solve();
@@ -468,6 +465,41 @@ TEST(Service, ServiceJsonAndAggregatedMetrics) {
   for (const auto& kv : snap.counters)
     if (kv.first.rfind("jobs.", 0) == 0) any_job_counter = true;
   EXPECT_TRUE(any_job_counter);
+}
+
+TEST(Service, SubmitRefusesInvalidOptions) {
+  // A malformed job is refused on the submitting thread, before it is
+  // queued, instead of failing — or, for a degenerate grid, hanging — the
+  // driver thread that builds its solver.
+  Structure s = h2_chain(3);
+  SolverServiceOptions so;
+  so.total_lanes = 2;
+  so.max_concurrent = 2;
+  SolverService service(so);
+
+  const Vec3i divisions[] = {{0, 1, 1}, {2, 1, 1}, {-3, 1, 1}};
+  for (const Vec3i& m : divisions) {
+    JobSpec bad;
+    bad.options = base_options(3);
+    bad.options.division = m;
+    EXPECT_THROW(service.submit(s, bad), std::invalid_argument);
+  }
+  JobSpec bad;
+  bad.options = base_options(3);
+  bad.options.points_per_cell = 0;
+  EXPECT_THROW(service.submit(s, bad), std::invalid_argument);
+  bad.options = base_options(3);
+  bad.options.batch_width = 0;
+  bad.options.n_shards = 2;
+  EXPECT_THROW(service.submit(s, bad), std::invalid_argument);
+
+  // Nothing was enqueued, and the service still runs good jobs.
+  JobSpec ok;
+  ok.options = base_options(3);
+  const SolverService::JobId id = service.submit(s, ok);
+  EXPECT_EQ(service.wait(id).state, JobState::kDone);
+  EXPECT_NE(service.service_json().find("\"submitted\":1"),
+            std::string::npos);
 }
 
 }  // namespace
