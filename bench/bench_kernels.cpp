@@ -8,6 +8,8 @@
 // machine-readable summary (name, wall_ms, flops per entry) to
 // BENCH_kernels.json — override the path with --json=PATH — so the perf
 // trajectory can be tracked across PRs. The summary includes the
+// sphere-pruned vs dense wavefunction transform pair on a 24x8x8
+// fragment grid (fft3d_sphere_24x8x8, fft3d_dense_24x8x8), the
 // Rayleigh-Ritz subspace eigh at n = 24 (eigh_24) and the PEtot_F
 // engine scaling probe: wall time at n_workers = 1 vs 4 on an 8-fragment
 // division, plus the resulting speedup (>= 1.5x expected on >= 4 cores;
@@ -207,7 +209,7 @@ struct GemmBatchFixture {
   }
 };
 
-// A 16-grid many-transform stack (the batched local-potential sweep).
+// A 16-grid many-transform stack of dense grids.
 struct FftManyFixture {
   static constexpr int kN = 24, kCount = 16;
   Fft3D plan{{kN, kN, kN}};
@@ -241,6 +243,57 @@ void BM_GemmBatched(benchmark::State& state) {
       fx.flops() * state.iterations() / 1e9, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GemmBatched)->Arg(1)->Arg(4);
+
+// One wavefunction grid's inverse + forward pair, sphere-pruned or
+// dense, on a 24x8x8 fragment grid of the H2-chain benchmark (0.75 Bohr
+// spacing, ecut 1 Ha: the sphere touches 19 of 192 z rows and 9 of 24
+// x-slabs). Each pair starts from freshly scattered
+// coefficients, as Hamiltonian::apply does.
+struct FftSphereFixture {
+  GVectors gv{Lattice({18.0, 6.0, 6.0}), {24, 8, 8}, 1.0};
+  Fft3D plan{gv.grid_shape()};
+  std::vector<cplx> coeff, grid;
+  FftSphereFixture() : coeff(gv.count()), grid(plan.size()) {
+    Rng rng(9);
+    for (auto& v : coeff) v = cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
+  }
+  FftSphereFixture(const FftSphereFixture&) = delete;
+  void run_sphere() {
+    gv.scatter(coeff.data(), grid.data());
+    plan.inverse_sphere(grid.data(), gv.sphere());
+    plan.forward_sphere(grid.data(), gv.sphere());
+  }
+  void run_dense() {
+    gv.scatter(coeff.data(), grid.data());
+    plan.inverse(grid.data());
+    plan.forward(grid.data());
+  }
+  double sphere_flops() const {
+    return 2.0 * FlopCounter::fft3d_sphere(gv.grid_shape(), gv.sphere());
+  }
+  double dense_flops() const {
+    const Vec3i s = gv.grid_shape();
+    return 2.0 * FlopCounter::fft3d(s.x, s.y, s.z);
+  }
+};
+
+// Sphere-pruned (arg 1) vs dense (arg 0) inverse + forward pair.
+void BM_Fft3DSphere(benchmark::State& state) {
+  FftSphereFixture fx;
+  const bool sphere = state.range(0) != 0;
+  for (auto _ : state) {
+    if (sphere)
+      fx.run_sphere();
+    else
+      fx.run_dense();
+    benchmark::DoNotOptimize(fx.grid.data());
+  }
+  state.counters["Gflop/s"] = benchmark::Counter(
+      (sphere ? fx.sphere_flops() : fx.dense_flops()) * state.iterations() /
+          1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Fft3DSphere)->Arg(0)->Arg(1);
 
 // Many-transform sweep vs looped single transforms.
 void BM_FftMany(benchmark::State& state) {
@@ -429,6 +482,15 @@ std::vector<JsonEntry> kernel_summary() {
     const double ms = time_best_ms(5, [&]() { plan.forward(x.data()); });
     out.push_back({"fft3d_40", ms,
                    static_cast<double>(FlopCounter::fft3d(n, n, n))});
+  }
+  {
+    // Sphere-pruned vs dense wavefunction transform pair on a fragment
+    // grid (each entry's flops are the work that transform runs).
+    FftSphereFixture fx;
+    const double sphere = time_best_ms(20, [&]() { fx.run_sphere(); });
+    const double dense = time_best_ms(20, [&]() { fx.run_dense(); });
+    out.push_back({"fft3d_sphere_24x8x8", sphere, fx.sphere_flops()});
+    out.push_back({"fft3d_dense_24x8x8", dense, fx.dense_flops()});
   }
   {
     const int nb = 16;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "fft/fft3d.h"
+
 namespace ls3df {
 
 std::uint64_t FlopCounter::fft(std::uint64_t n) {
@@ -14,6 +16,13 @@ std::uint64_t FlopCounter::fft3d(std::uint64_t n1, std::uint64_t n2,
                                  std::uint64_t n3) {
   // n2*n3 transforms of length n1, etc.
   return n2 * n3 * fft(n1) + n1 * n3 * fft(n2) + n1 * n2 * fft(n3);
+}
+
+std::uint64_t FlopCounter::fft3d_sphere(Vec3i shape,
+                                        const SphereLines& sphere) {
+  const std::uint64_t n1 = shape.x, n2 = shape.y, n3 = shape.z;
+  return sphere.rows.size() * fft(n3) + sphere.slabs.size() * n3 * fft(n2) +
+         n2 * n3 * fft(n1);
 }
 
 FlopCounter& global_flops() {

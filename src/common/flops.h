@@ -6,7 +6,11 @@
 
 #include <cstdint>
 
+#include "common/vec3.h"
+
 namespace ls3df {
+
+struct SphereLines;  // fft/fft3d.h
 
 class FlopCounter {
  public:
@@ -28,6 +32,9 @@ class FlopCounter {
   static std::uint64_t fft(std::uint64_t n);
   static std::uint64_t fft3d(std::uint64_t n1, std::uint64_t n2,
                              std::uint64_t n3);
+  // One sphere transform (BasicFft3D::inverse_sphere/forward_sphere):
+  // the listed z rows, n3 y lines per listed slab, and every x line.
+  static std::uint64_t fft3d_sphere(Vec3i shape, const SphereLines& sphere);
 
  private:
   std::uint64_t flops_ = 0;

@@ -19,10 +19,11 @@
 //
 //   one batched H application      Hamiltonian::apply_batched — every
 //                                  band of every member scattered into a
-//                                  contiguous grid stack, one
-//                                  inverse/forward many-transform sweep
-//                                  (Fft3D::forward_many), one fused
-//                                  nonlocal GEMM grid (gemm_batched);
+//                                  contiguous grid stack and run through
+//                                  the sphere-pruned transforms
+//                                  (Fft3D::inverse_sphere) in one
+//                                  parallel sweep, one fused nonlocal
+//                                  GEMM grid (gemm_batched);
 //   K small Rayleigh-Ritz solves   subspace G = V^H HV and the Ritz
 //                                  rotations run as batched GEMMs; the
 //                                  dense eigh of each (<= 2nb)^2 subspace

@@ -130,8 +130,7 @@ FieldR band_density(const Hamiltonian& h, const cd* band) {
   const GVectors& basis = h.basis();
   FieldC work(basis.grid_shape());
   basis.scatter(band, work);
-  const Fft3D& fft = fft_plan(basis.grid_shape());
-  fft.inverse(work.raw());
+  fft_plan(basis.grid_shape()).inverse_sphere(work.data(), basis.sphere());
   FieldR rho(basis.grid_shape());
   double total = 0;
   for (std::size_t i = 0; i < work.size(); ++i) {
@@ -183,8 +182,7 @@ double inverse_participation_ratio(const Hamiltonian& h, const cd* band) {
   const GVectors& basis = h.basis();
   FieldC work(basis.grid_shape());
   basis.scatter(band, work);
-  const Fft3D& fft = fft_plan(basis.grid_shape());
-  fft.inverse(work.raw());
+  fft_plan(basis.grid_shape()).inverse_sphere(work.data(), basis.sphere());
   double sum2 = 0, sum4 = 0;
   for (std::size_t i = 0; i < work.size(); ++i) {
     const double p = std::norm(work[i]);

@@ -126,15 +126,15 @@ void Hamiltonian::ensure_f32_mirrors() const {
 }
 
 void Hamiltonian::apply_local(const cd* in, cd* out) const {
+  const SphereLines& sphere = basis_->sphere();
   basis_->scatter(in, work_);
-  fft_.inverse(work_.raw());
+  fft_.inverse_sphere(work_.data(), sphere);
   for (std::size_t i = 0; i < work_.size(); ++i) work_[i] *= vloc_[i];
-  fft_.forward(work_.raw());
+  fft_.forward_sphere(work_.data(), sphere);
   basis_->gather(work_, out);
-  if (flops_) {
-    const Vec3i g = basis_->grid_shape();
-    flops_->add(2 * FlopCounter::fft3d(g.x, g.y, g.z) + 6 * work_.size());
-  }
+  if (flops_)
+    flops_->add(2 * FlopCounter::fft3d_sphere(fft_.shape(), sphere) +
+                6 * work_.size());
 }
 
 void Hamiltonian::apply(const MatC& psi, MatC& hpsi) const {
@@ -186,28 +186,24 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItem>& items,
   for (int t = 0; t < k_members; ++t)
     for (int u = off[t]; u < off[t + 1]; ++u) member_of[u] = t;
 
-  // Local potential, batched: scatter every band, one inverse sweep,
-  // multiply by each member's V_loc, one forward sweep, gather. The
-  // per-band sequence is exactly apply_local()'s.
-  parallel_for(total, n_workers, [&](int u, int /*worker*/) {
-    const int t = member_of[u];
-    const ApplyItem& it = items[t];
-    it.h->basis().scatter(it.psi->col(u - off[t]), stack + u * gsize);
-  });
-  fft_inverse_many(shape, stack, total, n_workers);
-  parallel_for(total, n_workers, [&](int u, int /*worker*/) {
-    const FieldR& vloc = items[member_of[u]].h->local_potential();
-    cd* grid = stack + u * gsize;
-    for (std::size_t i = 0; i < gsize; ++i) grid[i] *= vloc[i];
-  });
-  fft_forward_many(shape, stack, total, n_workers);
+  // Local potential, one grid per band and one parallel_for over all
+  // bands: scatter, inverse sphere transform, multiply by the member's
+  // V_loc, forward sphere transform, gather plus kinetic. The per-band
+  // sequence is exactly apply_local()'s.
+  const Fft3D& fft = fft_plan(shape);
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
     const int t = member_of[u];
     const ApplyItem& it = items[t];
     const GVectors& basis = it.h->basis();
+    const FieldR& vloc = it.h->local_potential();
     const int j = u - off[t];
+    cd* grid = stack + u * gsize;
+    basis.scatter(it.psi->col(j), grid);
+    fft.inverse_sphere(grid, basis.sphere());
+    for (std::size_t i = 0; i < gsize; ++i) grid[i] *= vloc[i];
+    fft.forward_sphere(grid, basis.sphere());
     cd* h = it.hpsi->col(j);
-    basis.gather(stack + u * gsize, h);
+    basis.gather(grid, h);
     // Kinetic: diagonal in q-space (same expression as apply()).
     const cd* p = it.psi->col(j);
     for (int g = 0; g < basis.count(); ++g) h[g] += 0.5 * basis.g2(g) * p[g];
@@ -252,9 +248,10 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItem>& items,
     const ApplyItem& it = items[t];
     if (!it.h->flops_) continue;
     const int ng = it.h->basis().count(), nb = it.psi->cols();
-    it.h->flops_->add(static_cast<unsigned long long>(nb) *
-                      (2 * FlopCounter::fft3d(shape.x, shape.y, shape.z) +
-                       6 * gsize));
+    it.h->flops_->add(
+        static_cast<unsigned long long>(nb) *
+        (2 * FlopCounter::fft3d_sphere(shape, it.h->basis().sphere()) +
+         6 * gsize));
     it.h->flops_->add(4ull * ng * nb);
     it.h->flops_->add(
         2 * FlopCounter::zgemm(it.h->nl_->num_projectors(), nb, ng));
@@ -293,28 +290,23 @@ void Hamiltonian::apply_batched_f32(const std::vector<ApplyItemF32>& items,
   for (int t = 0; t < k_members; ++t)
     for (int u = off[t]; u < off[t + 1]; ++u) member_of[u] = t;
 
-  // Local potential: same scatter / inverse / multiply / forward / gather
-  // sweep as the double path, on single-precision plans and grids.
-  parallel_for(total, n_workers, [&](int u, int /*worker*/) {
-    const int t = member_of[u];
-    const ApplyItemF32& it = items[t];
-    it.h->basis().scatter(it.psi->col(u - off[t]), stack + u * gsize);
-  });
-  fft_inverse_many(shape, stack, total, n_workers);
-  parallel_for(total, n_workers, [&](int u, int /*worker*/) {
-    const std::vector<float>& vloc = items[member_of[u]].h->vloc_f32_;
-    cf* grid = stack + u * gsize;
-    for (std::size_t i = 0; i < gsize; ++i) grid[i] *= vloc[i];
-  });
-  fft_forward_many(shape, stack, total, n_workers);
+  // Local potential: the double path's per-band scatter / inverse /
+  // multiply / forward / gather, on single-precision plans and grids.
+  const Fft3DF& fft = fft_plan_f32(shape);
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
     const int t = member_of[u];
     const ApplyItemF32& it = items[t];
     const GVectors& basis = it.h->basis();
+    const std::vector<float>& vloc = it.h->vloc_f32_;
     const std::vector<float>& g2 = it.h->g2_f32_;
     const int j = u - off[t];
+    cf* grid = stack + u * gsize;
+    basis.scatter(it.psi->col(j), grid);
+    fft.inverse_sphere(grid, basis.sphere());
+    for (std::size_t i = 0; i < gsize; ++i) grid[i] *= vloc[i];
+    fft.forward_sphere(grid, basis.sphere());
     cf* h = it.hpsi->col(j);
-    basis.gather(stack + u * gsize, h);
+    basis.gather(grid, h);
     const cf* p = it.psi->col(j);
     for (int g = 0; g < basis.count(); ++g) h[g] += 0.5f * g2[g] * p[g];
   });
@@ -357,9 +349,10 @@ void Hamiltonian::apply_batched_f32(const std::vector<ApplyItemF32>& items,
     const ApplyItemF32& it = items[t];
     if (!it.h->flops_) continue;
     const int ng = it.h->basis().count(), nb = it.psi->cols();
-    it.h->flops_->add(static_cast<unsigned long long>(nb) *
-                      (2 * FlopCounter::fft3d(shape.x, shape.y, shape.z) +
-                       6 * gsize));
+    it.h->flops_->add(
+        static_cast<unsigned long long>(nb) *
+        (2 * FlopCounter::fft3d_sphere(shape, it.h->basis().sphere()) +
+         6 * gsize));
     it.h->flops_->add(4ull * ng * nb);
     it.h->flops_->add(
         2 * FlopCounter::zgemm(it.h->nl_->num_projectors(), nb, ng));
@@ -406,7 +399,7 @@ FieldR Hamiltonian::kinetic_energy_density(
       const cd* p = psi.col(j);
       for (int g = 0; g < ng; ++g) grad[g] = cd(0, 1) * basis_->g(g)[dim] * p[g];
       basis_->scatter(grad.data(), work);
-      fft_.inverse(work.raw());
+      fft_.inverse_sphere(work.data(), basis_->sphere());
       // Same normalization as density(): grid value = (1/N) sum_G (...),
       // so |grad psi(r)|^2 = N^2 |work(r)|^2 / V.
       const double scale = 0.5 * occ[j] * inv_vol *
@@ -443,6 +436,7 @@ void Hamiltonian::density_into(const MatC& psi,
   if (bands.empty()) return;
 
   const double inv_vol = 1.0 / basis_->lattice().volume();
+  const SphereLines& sphere = basis_->sphere();
   // inverse FFT includes 1/N: grid(r) = (1/N) sum_G c_G e^{iGr}. A
   // normalized band (sum |c|^2 = 1) has  int |psi|^2 = 1 with
   // psi(r) = sum_G c_G e^{iGr} / sqrt(V), so |psi(r)|^2 =
@@ -452,37 +446,39 @@ void Hamiltonian::density_into(const MatC& psi,
                          static_cast<double>(ngrid);
     for (std::size_t i = 0; i < rho.size(); ++i)
       rho[i] += scale * std::norm(grid[i]);
-    if (flops_) {
-      const Vec3i g = shape;
-      flops_->add(FlopCounter::fft3d(g.x, g.y, g.z) + 3 * rho.size());
-    }
+    if (flops_)
+      flops_->add(FlopCounter::fft3d_sphere(shape, sphere) + 3 * rho.size());
   };
 
   if (n_workers <= 1) {
     // Serial: stream band by band through the single work_ grid — the
-    // sweep would loop anyway, so don't pay the per-band stack memory.
+    // transforms would run one after another anyway, so don't pay the
+    // per-band stack memory.
     FieldC& work = work_;
     for (int j : bands) {
       basis_->scatter(psi.col(j), work);
-      fft_.inverse(work.raw());
+      fft_.inverse_sphere(work.data(), sphere);
       accumulate_band(j, work.data());
     }
     return;
   }
 
-  // Parallel: scatter every occupied band into the contiguous grow-only
-  // stack, run one many-transform inverse sweep over the worker lanes,
-  // then accumulate |psi|^2 in band order. Per-band arithmetic and the
-  // accumulation order match the streaming path exactly, so both are
-  // bit-identical for any n_workers.
+  // Parallel: scatter and transform every occupied band into the
+  // contiguous grow-only stack over the worker lanes, then accumulate
+  // |psi|^2 in band order. Per-band arithmetic and the accumulation
+  // order match the streaming path exactly, so both are bit-identical
+  // for any n_workers.
   if (density_stack_.size() < bands.size() * ngrid)
     density_stack_.resize(bands.size() * ngrid);
+  std::complex<double>* stack = density_stack_.data();
+  parallel_for(static_cast<int>(bands.size()), n_workers,
+               [&](int k, int /*worker*/) {
+                 std::complex<double>* grid = stack + k * ngrid;
+                 basis_->scatter(psi.col(bands[k]), grid);
+                 fft_.inverse_sphere(grid, sphere);
+               });
   for (std::size_t k = 0; k < bands.size(); ++k)
-    basis_->scatter(psi.col(bands[k]), density_stack_.data() + k * ngrid);
-  fft_.inverse_many(density_stack_.data(), static_cast<int>(bands.size()),
-                    n_workers);
-  for (std::size_t k = 0; k < bands.size(); ++k)
-    accumulate_band(bands[k], density_stack_.data() + k * ngrid);
+    accumulate_band(bands[k], stack + k * ngrid);
 }
 
 }  // namespace ls3df

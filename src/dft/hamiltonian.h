@@ -31,9 +31,9 @@
 namespace ls3df {
 
 // Grow-only scratch arena for Hamiltonian::apply_batched: the contiguous
-// many-transform grid stack plus one nonlocal projection matrix per batch
-// member. One arena per batch, persistent across SCF iterations, so the
-// steady state allocates nothing; allocations() counts capacity-growth
+// grid stack (one grid per band) plus one nonlocal projection matrix per
+// batch member. One arena per batch, persistent across SCF iterations, so
+// the steady state allocates nothing; allocations() counts capacity-growth
 // events like EigenWorkspace so the LS3DF probe can watch it.
 class ApplyBatchWorkspace {
  public:
@@ -112,9 +112,10 @@ class Hamiltonian {
 
   // Batched application across a stack of same-size-class fragments (all
   // members must share the FFT grid shape; basis tables are per member).
-  // The local part scatters every band of every member into one
-  // contiguous grid stack and runs a single inverse/forward many-
-  // transform sweep; the nonlocal part runs two batched GEMMs. Per-band
+  // The local part gives every band of every member its own grid in one
+  // contiguous stack and runs scatter, inverse sphere transform, V_loc,
+  // forward sphere transform and gather for each grid in one parallel
+  // sweep; the nonlocal part runs two batched GEMMs. Per-band
   // arithmetic is exactly apply()'s, so a batched call is bit-identical
   // to the member-by-member loop for any n_workers — batching only
   // changes scheduling and cache behaviour. This is the seam a GPU
@@ -131,8 +132,8 @@ class Hamiltonian {
     int slot = -1;
   };
 
-  // Single-precision twin of apply_batched: the same scatter / many-FFT /
-  // V_loc / gather+kinetic / two-GEMM structure, run entirely in fp32
+  // Single-precision twin of apply_batched: the same scatter / sphere FFT
+  // / V_loc / gather+kinetic / two-GEMM structure, run entirely in fp32
   // (single-precision FFT plans, float GEMM cores, fp32 grid stack).
   // This path is NOT bit-identical to apply() — it is the engine of the
   // mixed-precision Davidson fast path and is guarded by trajectory
@@ -160,12 +161,12 @@ class Hamiltonian {
 
   // Same, accumulated into a caller-owned field of the FFT-grid shape
   // (overwritten). With n_workers > 1 (the batched fragment dispatch
-  // passes its inner lanes) all occupied bands are scattered into one
-  // contiguous grid stack and moved to real space by a single
-  // Fft3D::inverse_many sweep — the batched-kernel shape of the fragment
-  // solver; the stack is a grow-only internal arena, so the steady state
-  // allocates nothing. With n_workers <= 1 the bands stream through the
-  // single work_ grid (no stack memory). Per-band arithmetic and the
+  // passes its inner lanes) the occupied bands are scattered into one
+  // contiguous grid stack and moved to real space by inverse_sphere
+  // transforms fanned out over the lanes; the stack is a grow-only
+  // internal arena, so the steady state allocates nothing. With
+  // n_workers <= 1 the bands stream through the single work_ grid (no
+  // stack memory). Per-band arithmetic and the
   // band-order accumulation are identical either way, so the density is
   // bit-identical for any n_workers.
   void density_into(const MatC& psi, const std::vector<double>& occ,
@@ -188,8 +189,8 @@ class Hamiltonian {
   std::unique_ptr<NonlocalKB> nl_;
   FlopCounter* flops_ = nullptr;
   mutable FieldC work_;  // FFT scratch
-  // Grow-only grid stack for density_into's many-transform sweep (one
-  // grid per occupied band). Like work_, shares the instance's
+  // Grow-only grid stack for density_into's parallel branch (one grid
+  // per occupied band). Like work_, shares the instance's
   // one-thread-at-a-time contract.
   mutable std::vector<std::complex<double>> density_stack_;
   // Single-precision mirrors for apply_batched_f32 (see

@@ -13,31 +13,25 @@ BasicFft3D<Real>::BasicFft3D(Vec3i shape)
 }
 
 template <typename Real>
-void BasicFft3D<Real>::transform_z(Cplx* data, bool inv) const {
-  const int n1 = shape_.x, n2 = shape_.y, n3 = shape_.z;
-  // Axis z: contiguous rows, one line each.
-  for (int ix = 0; ix < n1; ++ix)
-    for (int iy = 0; iy < n2; ++iy) {
-      Cplx* row = data + (static_cast<std::size_t>(ix) * n2 + iy) * n3;
-      if (inv)
-        fz_.inverse(row);
-      else
-        fz_.forward(row);
-    }
+void BasicFft3D<Real>::transform_z_row(Cplx* data, int row, bool inv) const {
+  // Axis z: row ix*n2 + iy is contiguous.
+  Cplx* line = data + static_cast<std::size_t>(row) * shape_.z;
+  if (inv)
+    fz_.inverse(line);
+  else
+    fz_.forward(line);
 }
 
 template <typename Real>
-void BasicFft3D<Real>::transform_y(Cplx* data, bool inv) const {
-  const int n1 = shape_.x, n2 = shape_.y, n3 = shape_.z;
-  // Axis y: each x-slab holds n3 interleaved lines (element iy of line
-  // iz at iy * n3 + iz).
-  for (int ix = 0; ix < n1; ++ix) {
-    Cplx* slab = data + static_cast<std::size_t>(ix) * n2 * n3;
-    if (inv)
-      fy_.inverse_lines(slab, n3);
-    else
-      fy_.forward_lines(slab, n3);
-  }
+void BasicFft3D<Real>::transform_y_slab(Cplx* data, int ix, bool inv) const {
+  // Axis y: x-slab ix holds n3 interleaved lines (element iy of line iz
+  // at iy * n3 + iz).
+  const int n3 = shape_.z;
+  Cplx* slab = data + static_cast<std::size_t>(ix) * shape_.y * n3;
+  if (inv)
+    fy_.inverse_lines(slab, n3);
+  else
+    fy_.forward_lines(slab, n3);
 }
 
 template <typename Real>
@@ -57,15 +51,35 @@ void BasicFft3D<Real>::transform(Cplx* data, bool inv) const {
   // (fft/dist_fft3d.h) stay bit-identical to this dense path with a
   // single pencil transpose per direction: the x axis — the one that
   // crosses shard boundaries — always sits on the transposed side.
+  const int rows = shape_.x * shape_.y;
   if (inv) {
     transform_x(data, true);
-    transform_y(data, true);
-    transform_z(data, true);
+    for (int ix = 0; ix < shape_.x; ++ix) transform_y_slab(data, ix, true);
+    for (int r = 0; r < rows; ++r) transform_z_row(data, r, true);
   } else {
-    transform_z(data, false);
-    transform_y(data, false);
+    for (int r = 0; r < rows; ++r) transform_z_row(data, r, false);
+    for (int ix = 0; ix < shape_.x; ++ix) transform_y_slab(data, ix, false);
     transform_x(data, false);
   }
+}
+
+template <typename Real>
+void BasicFft3D<Real>::inverse_sphere(Cplx* data,
+                                      const SphereLines& sphere) const {
+  // Off the sphere the input is zero, so unlisted rows stay zero through
+  // z and unlisted slabs stay zero through y; only x needs every line.
+  for (int r : sphere.rows) transform_z_row(data, r, true);
+  for (int ix : sphere.slabs) transform_y_slab(data, ix, true);
+  transform_x(data, true);
+}
+
+template <typename Real>
+void BasicFft3D<Real>::forward_sphere(Cplx* data,
+                                      const SphereLines& sphere) const {
+  // Only the listed rows are read back, so y and z skip the rest.
+  transform_x(data, false);
+  for (int ix : sphere.slabs) transform_y_slab(data, ix, false);
+  for (int r : sphere.rows) transform_z_row(data, r, false);
 }
 
 namespace {

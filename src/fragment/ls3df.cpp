@@ -703,8 +703,8 @@ void Ls3dfSolver::solve_batch(int b, int group,
             : solve_all_band_batched(items, opt_.eig, bw, 1, live_lanes);
     for (int k = 0; k < k_members; ++k)
       contexts_[batch.members[k]]->eigenvalues = std::move(rs[k].eigenvalues);
-    // Densities member by member, each member's band stack swept by
-    // one many-transform pass over this batch's inner lanes (the
+    // Densities member by member, each member's bands transformed in
+    // one parallel pass over this batch's inner lanes (the
     // lanes go to the FFTs, not the member loop — bit-identical
     // either way, so the density sweep may also use donated width).
     for (int k = 0; k < k_members; ++k)
@@ -750,7 +750,7 @@ void Ls3dfSolver::petot_f_batched(int n_groups) {
     members[ba.batches.group_of[b]].push_back(b);
 
   // Lanes not consumed by batch-level parallelism drive the batched
-  // kernels' internal work grids (fused GEMM tiles, many-FFT sweeps):
+  // kernels' internal work grids (fused GEMM tiles, per-band FFT sweeps):
   // the budget's allowance opens at live_workers_ / n_groups and widens
   // as groups retire.
   lane_budget_.reset(live_workers_, n_groups);

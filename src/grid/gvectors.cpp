@@ -32,6 +32,16 @@ GVectors::GVectors(const Lattice& lattice, Vec3i grid_shape,
     }
   }
   assert(g0_ >= 0);
+  // fft_index_ ascends, so rows and slabs come out ascending and each
+  // is recorded on its first point.
+  for (std::size_t idx : fft_index_) {
+    const int row = static_cast<int>(idx / n3);
+    const int slab = row / n2;
+    if (sphere_.rows.empty() || sphere_.rows.back() != row)
+      sphere_.rows.push_back(row);
+    if (sphere_.slabs.empty() || sphere_.slabs.back() != slab)
+      sphere_.slabs.push_back(slab);
+  }
 }
 
 void GVectors::scatter(const std::complex<double>* coeff, FieldC& grid) const {

@@ -1,13 +1,17 @@
 // Plane-wave basis: the set of reciprocal-lattice vectors G with kinetic
 // energy |G|^2/2 below the cutoff, plus the gather/scatter maps between the
 // compact coefficient vector (length n_G) and the full FFT grid. This is
-// the q-space representation the paper's PEtot_F solver works in.
+// the q-space representation the paper's PEtot_F solver works in. The
+// basis also lists the FFT lines its sphere touches, which is what the
+// wavefunction transforms (BasicFft3D::inverse_sphere/forward_sphere)
+// run over.
 #pragma once
 
 #include <complex>
 #include <vector>
 
 #include "common/vec3.h"
+#include "fft/fft3d.h"
 #include "grid/field3d.h"
 #include "grid/lattice.h"
 
@@ -33,6 +37,9 @@ class GVectors {
   std::size_t fft_index(int i) const { return fft_index_[i]; }
   // Integer Miller triplet (signed frequencies) of basis element g.
   const Vec3i& miller(int i) const { return miller_[i]; }
+
+  // The z rows and x-slabs of the FFT grid that hold a basis element.
+  const SphereLines& sphere() const { return sphere_; }
 
   // Index of the G = 0 element (always present).
   int g0_index() const { return g0_; }
@@ -69,6 +76,7 @@ class GVectors {
   std::vector<double> g2_;
   std::vector<std::size_t> fft_index_;
   std::vector<Vec3i> miller_;
+  SphereLines sphere_;
 };
 
 }  // namespace ls3df

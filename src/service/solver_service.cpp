@@ -286,9 +286,34 @@ struct SolverService::Impl {
       idle.pop_front();
   }
 
+  // A running job's share of the lane budget: joined on construction,
+  // left on every exit from run_job, a throw included.
+  struct LaneShare {
+    explicit LaneShare(SharedLaneBudget& b) : budget(b) { budget.join(); }
+    ~LaneShare() { budget.leave(); }
+    LaneShare(const LaneShare&) = delete;
+    LaneShare& operator=(const LaneShare&) = delete;
+    SharedLaneBudget& budget;
+  };
+
+  // Construction (and the job's on_bind hook, which bind() runs) may
+  // throw on a driver thread; that fails the job, never the process.
+  template <typename Make>
+  static bool construct(std::unique_ptr<Ls3dfSolver>& solver, Make make,
+                        std::string& error) {
+    try {
+      solver = make();
+      return true;
+    } catch (const std::exception& e) {
+      error = std::string("solver construction failed: ") + e.what();
+      return false;
+    }
+  }
+
   bool run_job(Job& job, std::string& error) {
-    lanes.join();
-    std::unique_ptr<Ls3dfSolver> solver = acquire(job);
+    LaneShare share(lanes);
+    std::unique_ptr<Ls3dfSolver> solver;
+    if (!construct(solver, [&] { return acquire(job); }, error)) return false;
     const std::uint64_t fp = solver->state_fingerprint();
     job.fingerprint.store(fp, std::memory_order_relaxed);
 
@@ -357,7 +382,8 @@ struct SolverService::Impl {
         if (Transport* t = solver->shard_transport_object())
           healed = t->recover();
         if (!healed) {
-          solver = make_fresh(job);
+          if (!construct(solver, [&] { return make_fresh(job); }, error))
+            break;
           pristine = true;
         }
         // Resume from the job's own newest snapshot when one exists;
@@ -369,7 +395,6 @@ struct SolverService::Impl {
       }
     }
 
-    lanes.leave();
     if (ok) {
       if (!job.ck_path.empty() && file_exists(job.ck_path)) {
         std::lock_guard<std::mutex> lk(mu);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "common/rng.h"
 #include "dft/eigensolver.h"
 #include "dft/hamiltonian.h"
+#include "fft/fft3d.h"
 #include "linalg/blas.h"
 #include "linalg/eigen.h"
 
@@ -128,9 +130,9 @@ TEST(Hamiltonian, DensityIntegratesToOccupation) {
 }
 
 TEST(Hamiltonian, BatchedDensitySweepBitIdenticalToPerBand) {
-  // density_into routes all occupied bands through one inverse_many
-  // sweep. Per-band arithmetic and the band-order accumulation are
-  // unchanged, so the result must equal the band-by-band sum exactly
+  // density_into fans all occupied bands out over the worker lanes.
+  // Per-band arithmetic and the band-order accumulation are unchanged,
+  // so the result must equal the band-by-band sum exactly
   // (zero-occupation bands skipped), for any worker count.
   Structure s = build_zincblende(Species::kZn, Species::kTe, 9.0, {1, 1, 1});
   GVectors gv(s.lattice(), {12, 12, 12}, 1.5);
@@ -184,6 +186,76 @@ TEST(Hamiltonian, FlopCounterAccumulates) {
   const auto after_one = fc.total();
   h.apply(psi, hpsi);
   EXPECT_EQ(fc.total(), 2 * after_one);
+}
+
+TEST(Hamiltonian, ApplyMatchesDenseTransformReference) {
+  // apply() runs its local term through the sphere transforms. A
+  // reference built on the dense Fft3D, with the same kinetic and
+  // nonlocal terms, must agree to rounding: only the local term differs,
+  // so ||H psi - ref||_F <= c log2(N) eps max|V_loc| ||psi||_F.
+  Structure s = build_zincblende(Species::kZn, Species::kTe, 9.0, {1, 1, 1});
+  GVectors gv(s.lattice(), {16, 12, 14}, 1.5);
+  Hamiltonian h(s, gv);
+  const int nb = 4;
+  MatC psi = random_wavefunctions(gv, nb, 12);
+  MatC hpsi;
+  h.apply(psi, hpsi);
+
+  MatC ref(gv.count(), nb);
+  const Fft3D dense(gv.grid_shape());
+  const FieldR& vloc = h.local_potential();
+  FieldC work(gv.grid_shape());
+  for (int j = 0; j < nb; ++j) {
+    gv.scatter(psi.col(j), work);
+    dense.inverse(work.data());
+    for (std::size_t i = 0; i < work.size(); ++i) work[i] *= vloc[i];
+    dense.forward(work.data());
+    gv.gather(work, ref.col(j));
+    for (int g = 0; g < gv.count(); ++g)
+      ref(g, j) += 0.5 * gv.g2(g) * psi(g, j);
+  }
+  h.nonlocal().apply_all_bands(psi, ref);
+
+  double diff = 0, psi_norm = 0, vmax = 0;
+  for (int j = 0; j < nb; ++j)
+    for (int g = 0; g < gv.count(); ++g) {
+      diff += std::norm(hpsi(g, j) - ref(g, j));
+      psi_norm += std::norm(psi(g, j));
+    }
+  for (std::size_t i = 0; i < vloc.size(); ++i)
+    vmax = std::max(vmax, std::abs(vloc[i]));
+  const double n = static_cast<double>(work.size());
+  const double scale = std::log2(n) * std::numeric_limits<double>::epsilon() *
+                       vmax * std::sqrt(psi_norm);
+  EXPECT_LE(std::sqrt(diff) / scale, 4.0);
+  EXPECT_GT(diff, 0.0);  // the sphere path really is a different kernel
+}
+
+TEST(Hamiltonian, FlopCountPinnedForOneApply) {
+  // Empty 6 Bohr box, 8^3 grid, ecut 0.6 Ha: the basis is G = 0 and the
+  // six +-b_i neighbours (|G|^2/2 = 0.548), so the sphere touches 5 z rows
+  // ((0,0), (+-1,0), (0,+-1)) and 3 x-slabs (0, +-1). With fft(8) = 120:
+  //   fft3d_sphere = 5*120 + 3*8*120 + 64*120 = 11160;
+  //   apply, 2 bands = 2*(2*11160 + 6*512) local + 4*7*2 kinetic = 50840
+  // (no atoms, so no projectors and no nonlocal GEMMs). The dense
+  // transform would count 3*64*120 = 23040 per 3D FFT instead.
+  Structure s = empty_box(6.0);
+  GVectors gv(s.lattice(), {8, 8, 8}, 0.6);
+  ASSERT_EQ(gv.count(), 7);
+  EXPECT_EQ(FlopCounter::fft3d_sphere(gv.grid_shape(), gv.sphere()), 11160u);
+  Hamiltonian h(s, gv);
+  FlopCounter fc;
+  h.set_flop_counter(&fc);
+  MatC psi = random_wavefunctions(gv, 2, 1);
+  MatC hpsi;
+  h.apply(psi, hpsi);
+  EXPECT_EQ(fc.total(), 50840u);
+  // The batched path counts the same work.
+  fc.clear();
+  MatC out;
+  ApplyBatchWorkspace ws;
+  Hamiltonian::apply_batched({{&h, &psi, &out}}, ws, 1);
+  EXPECT_EQ(fc.total(), 50840u);
 }
 
 TEST(DefaultFftGrid, HoldsDensityFrequencies) {

@@ -1,9 +1,9 @@
 // FFT tests: analytic DFTs, round trips, Parseval, linearity, shift
 // theorem, smooth and non-smooth (Bluestein) sizes, normalised error
 // bounds against a long-double DFT for every length class in fp64 and
-// fp32, multi-line vs per-line bit identity, and the 3D transform on the
+// fp32, multi-line vs per-line bit identity, the 3D transform on the
 // grid shapes the DFT engine uses (including the paper's 40^3 and 32^3
-// per-cell grids).
+// per-cell grids), and the G-sphere transforms against the dense one.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +16,8 @@
 #include "fft/fft.h"
 #include "fft/fft3d.h"
 #include "fft/plan_cache.h"
+#include "grid/gvectors.h"
+#include "grid/lattice.h"
 
 namespace ls3df {
 namespace {
@@ -453,9 +455,9 @@ TEST(Fft3D, MatchesSeparable1DTransforms) {
 }
 
 TEST(Fft3DMany, BitIdenticalToSingleTransforms) {
-  // The many-transform sweep of the batched fragment path must reproduce
-  // per-grid transforms exactly, for any worker count (each lane runs
-  // the plan with its own thread-local pass scratch).
+  // The many-transform sweep must reproduce per-grid transforms exactly,
+  // for any worker count (each lane runs the plan with its own
+  // thread-local pass scratch).
   const Vec3i shape{6, 4, 5};
   Fft3D plan(shape);
   const int count = 7;
@@ -482,19 +484,89 @@ TEST(Fft3DMany, BitIdenticalToSingleTransforms) {
   }
 }
 
-TEST(Fft3DMany, PlanCacheWrappersMatchMethods) {
-  const Vec3i shape{4, 4, 6};
-  Fft3D plan(shape);
-  const int count = 3;
-  auto a = random_signal(static_cast<int>(plan.size()) * count, 101);
-  auto b = a;
-  plan.forward_many(a.data(), count, 1);
-  fft_forward_many(shape, b.data(), count, 1);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
-  plan.inverse_many(a.data(), count, 1);
-  fft_inverse_many(shape, b.data(), count, 1);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+// The sphere transforms against the dense transform in the same
+// precision, on a wavefunction basis whose sphere spans about half of
+// each axis (grid spacing 0.5 Bohr, G_max = pi, the factor-2 density
+// grid rule). Errors are taken in the unitary normalisation (inverse
+// output times sqrt(N), forward output over sqrt(N)), so both directions
+// share the FftBounds rule: ||sphere - dense||_2 <= c log2(N) eps ||x||_2.
+struct SphereErrors {
+  double inverse;     // whole grid
+  double forward;     // sphere points only
+  double round_trip;  // forward_sphere(inverse_sphere(c)) against c
+};
+
+template <typename Real>
+SphereErrors sphere_vs_dense(Vec3i shape, std::uint64_t seed) {
+  using C = std::complex<Real>;
+  const double h = 0.5, gmax = units::kPi / (2 * h);
+  const GVectors gv(Lattice({h * shape.x, h * shape.y, h * shape.z}), shape,
+                    0.5 * gmax * gmax);
+  // The pruning is real: the sphere misses z rows and x-slabs.
+  EXPECT_LT(gv.sphere().rows.size(),
+            static_cast<std::size_t>(shape.x) * shape.y / 2);
+  EXPECT_LT(gv.sphere().slabs.size(), static_cast<std::size_t>(shape.x));
+  BasicFft3D<Real> plan(shape);
+  const std::size_t n = plan.size();
+  const long double sqrt_n = std::sqrt(static_cast<long double>(n));
+  const long double eps_log =
+      std::log2(static_cast<double>(n)) * std::numeric_limits<Real>::epsilon();
+
+  const auto coeff = random_signal<Real>(gv.count(), seed);
+  std::vector<C> dense(n, C(0, 0));
+  for (int g = 0; g < gv.count(); ++g) dense[gv.fft_index(g)] = coeff[g];
+  auto sphere = dense;
+  plan.inverse(dense.data());
+  plan.inverse_sphere(sphere.data(), gv.sphere());
+  long double inv = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    inv += std::norm(widen(sphere[i]) - widen(dense[i]));
+  plan.forward_sphere(sphere.data(), gv.sphere());
+  long double rt = 0;
+  for (int g = 0; g < gv.count(); ++g)
+    rt += std::norm(widen(sphere[gv.fft_index(g)]) - widen(coeff[g]));
+
+  const auto field = random_signal<Real>(static_cast<int>(n), seed + 1);
+  dense = field;
+  sphere = field;
+  plan.forward(dense.data());
+  plan.forward_sphere(sphere.data(), gv.sphere());
+  long double fwd = 0;
+  for (int g = 0; g < gv.count(); ++g) {
+    const std::size_t i = gv.fft_index(g);
+    fwd += std::norm(widen(sphere[i]) - widen(dense[i]));
+  }
+  return {static_cast<double>(std::sqrt(inv) * sqrt_n /
+                              (eps_log * norm2(coeff))),
+          static_cast<double>(std::sqrt(fwd) / sqrt_n /
+                              (eps_log * norm2(field))),
+          static_cast<double>(std::sqrt(rt) / (eps_log * norm2(coeff)))};
 }
+
+class Fft3DSphere : public ::testing::TestWithParam<Vec3i> {};
+
+TEST_P(Fft3DSphere, Fp64MatchesDenseWithinLogNEpsilon) {
+  const Vec3i s = GetParam();
+  const SphereErrors e = sphere_vs_dense<double>(s, 900 + s.x + s.y + s.z);
+  EXPECT_LE(e.inverse, kFftBoundFactor);
+  EXPECT_LE(e.forward, kFftBoundFactor);
+  EXPECT_LE(e.round_trip, kFftBoundFactor);
+}
+
+TEST_P(Fft3DSphere, Fp32MatchesDenseWithinLogNEpsilon) {
+  const Vec3i s = GetParam();
+  const SphereErrors e = sphere_vs_dense<float>(s, 950 + s.x + s.y + s.z);
+  EXPECT_LE(e.inverse, kFftBoundFactor);
+  EXPECT_LE(e.forward, kFftBoundFactor);
+  EXPECT_LE(e.round_trip, kFftBoundFactor);
+}
+
+// The two fragment-grid shapes of the benchmark workloads, an odd shape,
+// and a Bluestein length on the pruned z axis.
+INSTANTIATE_TEST_SUITE_P(Shapes, Fft3DSphere,
+                         ::testing::Values(Vec3i{16, 8, 8}, Vec3i{24, 8, 8},
+                                           Vec3i{15, 9, 10},
+                                           Vec3i{12, 8, 11}));
 
 }  // namespace
 }  // namespace ls3df

@@ -1,8 +1,10 @@
 // Grid tests: lattice geometry, periodic field extraction/accumulation
-// (the Gen_VF / Gen_dens primitives), and plane-wave basis construction.
+// (the Gen_VF / Gen_dens primitives), and plane-wave basis construction,
+// including the FFT lines its sphere touches.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/constants.h"
 #include "common/rng.h"
@@ -217,6 +219,40 @@ TEST(GVectors, ScatterGatherRoundTrip) {
   double on_energy = 0;
   for (const auto& v : c) on_energy += std::norm(v);
   EXPECT_NEAR(off_energy, on_energy, 1e-12);
+}
+
+TEST(GVectors, SphereListsExactlyTheTouchedRowsAndSlabs) {
+  // sphere() lists every z row and x-slab holding a basis element, no
+  // more and no fewer, ascending. Checked against a brute-force mark of
+  // the grid on a cubic, an anisotropic and an odd-shaped basis.
+  struct Case {
+    Lattice lat;
+    Vec3i shape;
+    double ecut;
+  };
+  const Case cases[] = {{Lattice::cubic(6.0), {12, 12, 12}, 1.5},
+                        {Lattice({12.0, 4.0, 4.0}), {24, 8, 8}, 1.0},
+                        {Lattice({7.5, 4.5, 5.0}), {15, 9, 10}, 2.0}};
+  for (const Case& c : cases) {
+    const GVectors gv(c.lat, c.shape, c.ecut);
+    const int n1 = c.shape.x, n2 = c.shape.y, n3 = c.shape.z;
+    std::vector<bool> row_hit(static_cast<std::size_t>(n1) * n2, false);
+    std::vector<bool> slab_hit(n1, false);
+    for (int g = 0; g < gv.count(); ++g) {
+      const std::size_t row = gv.fft_index(g) / n3;
+      row_hit[row] = true;
+      slab_hit[row / n2] = true;
+    }
+    std::vector<int> rows, slabs;
+    for (std::size_t r = 0; r < row_hit.size(); ++r)
+      if (row_hit[r]) rows.push_back(static_cast<int>(r));
+    for (int ix = 0; ix < n1; ++ix)
+      if (slab_hit[ix]) slabs.push_back(ix);
+    EXPECT_EQ(gv.sphere().rows, rows);
+    EXPECT_EQ(gv.sphere().slabs, slabs);
+    // The basis is a proper subset of the grid, so some lines are pruned.
+    EXPECT_LT(rows.size(), row_hit.size());
+  }
 }
 
 TEST(GVectors, FreqConvention) {

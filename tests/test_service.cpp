@@ -467,6 +467,51 @@ TEST(Service, ServiceJsonAndAggregatedMetrics) {
   EXPECT_TRUE(any_job_counter);
 }
 
+TEST(Service, SolverConstructionFailureFailsOnlyThatJob) {
+  // A solver that throws while a driver thread constructs it (here: a
+  // transport_factory whose transport has the wrong rank count, which
+  // submit-time validation cannot see) fails its own job with the
+  // exception text. The driver, its lane share and the next job are
+  // untouched.
+  Structure s = h2_chain(4);
+  Ls3dfOptions lo = base_options(4);
+  lo.n_workers = 2;
+  lo.n_shards = 2;
+  const Ls3dfResult ref = Ls3dfSolver(s, lo).solve();
+
+  SolverServiceOptions so;
+  so.total_lanes = 2;
+  so.max_concurrent = 1;
+  SolverService service(so);
+
+  JobSpec bad;
+  bad.options = lo;
+  bad.name = "wrong-rank-count";
+  bad.options.transport_factory = [](int n_ranks, int n_workers,
+                                     std::size_t arena_bytes) {
+    return make_transport(TransportKind::kInProc, n_ranks + 1, n_workers,
+                          arena_bytes);
+  };
+  JobSpec good;
+  good.options = lo;
+  good.name = "valid";
+  const SolverService::JobId bad_id = service.submit(s, std::move(bad));
+  const SolverService::JobId good_id = service.submit(s, std::move(good));
+
+  const JobStatus bad_st = service.wait(bad_id);
+  EXPECT_EQ(bad_st.state, JobState::kFailed);
+  EXPECT_NE(bad_st.error.find("transport_factory"), std::string::npos)
+      << bad_st.error;
+  const JobStatus good_st = service.wait(good_id);
+  EXPECT_EQ(good_st.state, JobState::kDone) << good_st.error;
+  expect_bitwise_equal(service.result(good_id), ref);
+  // One driver runs the jobs one after another, so a job that left its
+  // lane share leaves no survivor to donate to; a share leaked by the
+  // failed job would count a donation when the valid job leaves.
+  EXPECT_EQ(service.lane_donation_events(), 0);
+  EXPECT_EQ(service.running(), 0);
+}
+
 TEST(Service, SubmitRefusesInvalidOptions) {
   // A malformed job is refused on the submitting thread, before it is
   // queued, instead of failing — or, for a degenerate grid, hanging — the
