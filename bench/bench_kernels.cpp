@@ -14,7 +14,7 @@
 // engine scaling probe: wall time at n_workers = 1 vs 4 on an 8-fragment
 // division, plus the resulting speedup (>= 1.5x expected on >= 4 cores;
 // on a single-core host it reports ~1.0), and the batched-vs-looped
-// probes for the fused kernels (gemm_batched, fft_many, petot_f batched
+// probes for the fused kernels (gemm_batched, petot_f batched
 // at width 4 — the tentpole target is >= 1.5x over looped per-fragment
 // solves on >= 4 cores, >= 1.0x on one, always with bit-identical
 // densities), and the sharded-grid probes: the distributed-transpose FFT
@@ -41,6 +41,7 @@
 #include <complex>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -209,28 +210,6 @@ struct GemmBatchFixture {
   }
 };
 
-// A 16-grid many-transform stack of dense grids.
-struct FftManyFixture {
-  static constexpr int kN = 24, kCount = 16;
-  Fft3D plan{{kN, kN, kN}};
-  std::vector<cplx> stack;
-  FftManyFixture() : stack(plan.size() * kCount) {
-    Rng rng(6);
-    for (auto& v : stack) v = cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
-  }
-  FftManyFixture(const FftManyFixture&) = delete;
-  void run_looped() {
-    for (int g = 0; g < kCount; ++g)
-      plan.forward(stack.data() + static_cast<std::size_t>(g) * plan.size());
-  }
-  void run_many(int workers) {
-    plan.forward_many(stack.data(), kCount, workers);
-  }
-  static double flops() {
-    return static_cast<double>(FlopCounter::fft3d(kN, kN, kN)) * kCount;
-  }
-};
-
 // Batched vs looped GEMM on a stack of same-shape fragment overlaps.
 void BM_GemmBatched(benchmark::State& state) {
   GemmBatchFixture fx;
@@ -294,19 +273,6 @@ void BM_Fft3DSphere(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Fft3DSphere)->Arg(0)->Arg(1);
-
-// Many-transform sweep vs looped single transforms.
-void BM_FftMany(benchmark::State& state) {
-  FftManyFixture fx;
-  const int workers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    fx.run_many(workers);
-    benchmark::DoNotOptimize(fx.stack.data());
-  }
-  state.SetItemsProcessed(state.iterations() * fx.plan.size() *
-                          FftManyFixture::kCount);
-}
-BENCHMARK(BM_FftMany)->Arg(1)->Arg(4);
 
 // Distributed (slab + pencil-transpose) FFT vs the dense transform on
 // the paper-scale 40^3 global grid.
@@ -462,7 +428,7 @@ struct PetotProbe {
   }
 };
 
-std::vector<JsonEntry> kernel_summary() {
+std::vector<JsonEntry> kernel_summary(const std::filesystem::path& out_dir) {
   std::vector<JsonEntry> out;
 
   {
@@ -527,18 +493,6 @@ std::vector<JsonEntry> kernel_summary() {
     out.push_back({"gemm_batched_speedup_over_looped",
                    batched > 0 ? looped / batched : 0, 0});
   }
-  {
-    // Many-transform FFT sweep vs looped single transforms.
-    FftManyFixture fx;
-    const int workers = std::min(4, default_workers());
-    const double looped = time_best_ms(5, [&]() { fx.run_looped(); });
-    const double many = time_best_ms(5, [&]() { fx.run_many(workers); });
-    out.push_back({"fft_looped_16x24", looped, fx.flops()});
-    out.push_back({"fft_many_16x24", many, fx.flops()});
-    out.push_back(
-        {"fft_many_speedup_over_looped", many > 0 ? looped / many : 0, 0});
-  }
-
   {
     // Distributed-transpose FFT round trip vs dense on the 40^3 global
     // grid, plus the share of wall time spent in the pencil transpose.
@@ -877,7 +831,7 @@ std::vector<JsonEntry> kernel_summary() {
       solve_all_band_batched(f64, opt, ws64, workers);
       const double s64 = t64.seconds() * 1e3;
       Timer t32;
-      solve_all_band_batched_f32(f32, opt, ws32, workers);
+      solve_all_band_batched<float>(f32, opt, ws32, workers);
       const double s32 = t32.seconds() * 1e3;
       if (rep == 0) continue;  // warm: arenas allocate on the first rep
       ms64 = std::min(ms64, s64);
@@ -936,10 +890,10 @@ std::vector<JsonEntry> kernel_summary() {
     // so CI asserts overhead < 2% (interleaved best-of-4 over identical
     // deterministic work), the bit-identity flag, and that the union of
     // non-iteration spans covers >= 95% of the iteration wall. The
-    // sharded overlapped solve also exports the CI artifacts:
-    // BENCH_trace.json (per-rank-attributed Chrome trace, validated by
-    // tools/trace_merge) and BENCH_metrics.json (the solve's metrics
-    // snapshot, schema ls3df-metrics-v1).
+    // sharded overlapped solve also exports the CI artifacts, next to
+    // the --json summary: BENCH_trace.json (per-rank-attributed Chrome
+    // trace, validated by tools/trace_merge) and BENCH_metrics.json (the
+    // solve's metrics snapshot, schema ls3df-metrics-v1).
     Structure s = petot_structure();
     Ls3dfOptions lo = petot_options(std::min(4, default_workers()), 4);
     lo.max_iterations = 2;
@@ -1016,8 +970,8 @@ std::vector<JsonEntry> kernel_summary() {
     }
     const double coverage = iter_wall > 0 ? covered / iter_wall : 0.0;
 
-    rec_sh.write_chrome_json_file("BENCH_trace.json");
-    r_sh.metrics.write_json_file("BENCH_metrics.json");
+    rec_sh.write_chrome_json_file((out_dir / "BENCH_trace.json").string());
+    r_sh.metrics.write_json_file((out_dir / "BENCH_metrics.json").string());
 
     out.push_back({"ls3df_solve_untraced_1x1x4", plain_ms, 0});
     out.push_back({"ls3df_solve_traced_1x1x4", traced_ms, 0});
@@ -1161,7 +1115,9 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  std::vector<JsonEntry> entries = kernel_summary();
+  // The trace and metrics artifacts are written next to the summary.
+  std::vector<JsonEntry> entries =
+      kernel_summary(std::filesystem::path(json_path).parent_path());
 #ifdef LS3DF_WITH_MPI
   append_mpi_entries(entries, argv0);
 #else

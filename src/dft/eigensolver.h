@@ -18,8 +18,8 @@
 // shapes, so solve_all_band_batched() runs K of them in lockstep:
 //
 //   one batched H application      Hamiltonian::apply_batched — every
-//                                  band of every member scattered into a
-//                                  contiguous grid stack and run through
+//                                  band of every member scattered onto
+//                                  its worker lane's grid and run through
 //                                  the sphere-pruned transforms
 //                                  (Fft3D::inverse_sphere) in one
 //                                  parallel sweep, one fused nonlocal
@@ -61,29 +61,35 @@
 //
 // == Mixed precision (fp32 fast path) ==
 //
-// solve_all_band_batched_f32 is a single-precision instantiation of the
-// same lockstep Davidson: fp32 Ritz blocks in the EigenWorkspace fp32
-// arenas, Hamiltonian::apply_batched_f32 (single-precision FFT plans and
-// GEMM cores) for the applications, and float batched GEMMs for the
-// Rayleigh-Ritz projections. Three deliberate deviations keep it stable:
-//   - the starting orthonormalization runs in double, then rounds once
-//     into the fp32 block (no float Cholesky needed);
+// solve_all_band_batched is one template over the real type. <double> is
+// the engine path described above; <float> runs the same lockstep
+// Davidson with fp32 Ritz blocks (EigenWorkspace::mat<float>),
+// Hamiltonian::apply_batched<float> (single-precision FFT plans and GEMM
+// cores) and float batched GEMMs for the Rayleigh-Ritz projections. The
+// two instantiations differ at exactly five points, each a small helper
+// in eigensolver.cpp that is the plain fp64 step for double:
+//   - the guess is orthonormalized in double, then rounded once into the
+//     fp32 block V (no float Cholesky needed);
+//   - the residual tolerance is floored at 2e-5 — fp32 cannot resolve
+//     tighter residuals, so the solver must not chase them;
 //   - the tiny subspace matrix G is promoted to double for the dense
 //     eigh (free next to the fp32 GEMMs, keeps the rotation
-//     well-conditioned);
-//   - the residual tolerance is floored at 2e-5 — fp32 cannot resolve
-//     tighter residuals, so the solver must not chase them.
+//     well-conditioned); for double, G already is that slot;
+//   - the Ritz rotation Y and the final psi are rounded back across the
+//     precision boundary;
+//   - the sweep's trace span is named davidson.sweep.f32.
 // The promotion policy lives in the LS3DF engine (fragment/ls3df.h,
-// Ls3dfOptions::precision): early outer SCF iterations run this fast
-// path while the mixer's L1 residual is above promote_factor * l1_tol, then every
-// later iteration runs the fp64 driver, which erases the fp32 rounding
-// history (the converged fixed point is the fp64 one). This path is NOT
+// Ls3dfOptions::precision): early outer SCF iterations run <float> while
+// the mixer's L1 residual is above promote_factor * l1_tol, then every
+// later iteration runs <double>, which erases the fp32 rounding history
+// (the converged fixed point is the fp64 one). <float> is NOT
 // bit-identical to the reference; it is guarded by trajectory checks
 // (tests/test_mixed_precision.cpp) instead, and is off by default.
 #pragma once
 
 #include <deque>
 #include <functional>
+#include <tuple>
 #include <vector>
 
 #include "dft/hamiltonian.h"
@@ -124,14 +130,14 @@ class EigenWorkspace {
   // Slot `slot` resized to rows x cols (values unspecified). Storage is
   // reused; an allocation is counted only when the element count exceeds
   // the slot's previous peak (when the underlying vector really grows).
-  MatC& mat(int slot, int rows, int cols);
+  // Each precision has its own slots: the float ones back
+  // solve_all_band_batched<float> and stay empty until the
+  // mixed-precision fast path first touches the lane, so fp64-only runs
+  // pay nothing for them.
+  template <typename Real = double>
+  Matrix<std::complex<Real>>& mat(int slot, int rows, int cols);
   // Same for contiguous complex vectors.
   std::vector<std::complex<double>>& vec(int slot, int n);
-  // Single-precision twins of the matrix slots: the fp32 arenas behind
-  // solve_all_band_batched_f32. Same grow-only discipline and allocation
-  // accounting as mat(); they stay empty until the mixed-precision fast
-  // path first touches the lane, so fp64-only runs pay nothing.
-  MatCF& mat_f32(int slot, int rows, int cols);
 
   // Scratch arena for the dense eigh/cholesky calls of the Rayleigh-Ritz
   // loop (linalg/eigen.h), owned by the same lane as the block slots so
@@ -140,19 +146,24 @@ class EigenWorkspace {
 
   // Grow every slot to the extents a fragment of (ng, nb) can ever need,
   // so solves of any fragment at or below those extents never allocate.
-  // all_band additionally reserves the block-solver matrix slots (the
-  // band-by-band solver only uses the vector slots).
+  // all_band additionally reserves the double block-solver matrix slots
+  // (the band-by-band solver only uses the vector slots).
   void reserve(int ng, int nb, bool all_band = true);
+  // Grow the block-solver matrix slots of one precision the same way.
+  template <typename Real>
+  void reserve_block(int ng, int nb);
 
   long allocations() const { return allocs_ + scratch_.allocations(); }
 
  private:
-  MatC mats_[kMatSlots];
+  template <typename Real>
+  struct MatSlots {
+    Matrix<std::complex<Real>> mats[kMatSlots];
+    std::size_t peak[kMatSlots] = {};
+  };
+  std::tuple<MatSlots<double>, MatSlots<float>> mats_;
   std::vector<std::complex<double>> vecs_[kVecSlots];
-  std::size_t mat_peak_[kMatSlots] = {};
   std::size_t vec_peak_[kVecSlots] = {};
-  MatCF mats_f32_[kMatSlots];
-  std::size_t mat_f32_peak_[kMatSlots] = {};
   EigenScratch scratch_;
   long allocs_ = 0;
 };
@@ -170,17 +181,26 @@ class BatchWorkspace {
   // Capacity-growth events across every member arena and the apply stack.
   long allocations() const;
 
-  // Dispatch-control scratch hoisted out of the lockstep drivers: the
-  // batched-apply item list, the three Rayleigh-Ritz GEMM item lists
-  // (and their fp32 twins), and the active/still member index sets. A
-  // fresh heap allocation per sweep would keep the steady-state
-  // allocation probes from going flat; these are grow-only instead, and
-  // capacity growth folds into allocations() once per solve via
+  // Dispatch-control scratch hoisted out of the lockstep driver: per
+  // precision, the batched-apply item list and the three Rayleigh-Ritz
+  // GEMM item lists; and the active/still member index sets. A fresh
+  // heap allocation per sweep would keep the steady-state allocation
+  // probes from going flat; these are grow-only instead, and capacity
+  // growth folds into allocations() once per solve via
   // note_dispatch_capacity().
-  std::vector<Hamiltonian::ApplyItem> apply_items;
-  std::vector<Hamiltonian::ApplyItemF32> apply_items_f32;
-  std::vector<GemmBatchItem> g_items, x_items, hx_items;
-  std::vector<GemmBatchItemF> g_items_f32, x_items_f32, hx_items_f32;
+  template <typename Real>
+  struct DispatchLists {
+    std::vector<Hamiltonian::BasicApplyItem<Real>> apply_items;
+    std::vector<BasicGemmBatchItem<Real>> g_items, x_items, hx_items;
+    std::size_t capacity() const {
+      return apply_items.capacity() + g_items.capacity() +
+             x_items.capacity() + hx_items.capacity();
+    }
+  };
+  template <typename Real>
+  DispatchLists<Real>& lists() {
+    return std::get<DispatchLists<Real>>(lists_);
+  }
   std::vector<int> active, still;
 
   // Grow-only byte arena for the drivers' per-member bookkeeping table
@@ -192,6 +212,7 @@ class BatchWorkspace {
  private:
   std::deque<EigenWorkspace> members_;  // deque: stable member addresses
   ApplyBatchWorkspace apply_;
+  std::tuple<DispatchLists<double>, DispatchLists<float>> lists_;
   std::vector<unsigned char> member_table_;
   std::size_t member_table_peak_ = 0;
   std::size_t dispatch_peak_ = 0;
@@ -232,23 +253,20 @@ struct FragmentSolve {
 
 // Batched all-band solver: runs every member's Davidson iteration in
 // lockstep (see the architecture block above). All members must share the
-// FFT grid shape (same size class); results[i] is bit-identical to
-// solve_all_band(*frags[i].h, *frags[i].psi, opt) for any batch width,
-// n_workers, and live_lanes schedule. live_lanes, when set, is re-read at
+// FFT grid shape (same size class). live_lanes, when set, is re-read at
 // every sweep boundary and overrides n_workers for that sweep (the lane-
-// donation hook; see the architecture block).
+// donation hook; see the architecture block). Instantiated for double and
+// float; both take and return double-precision psi blocks.
+//   <double>: results[i] is bit-identical to
+//     solve_all_band(*frags[i].h, *frags[i].psi, opt) for any batch
+//     width, n_workers, and live_lanes schedule.
+//   <float>: the mixed-precision fast path (see the block above). NOT
+//     bit-identical to solve_all_band — the effective residual tolerance
+//     is floored at 2e-5 and eigenvalues carry fp32 subspace accuracy —
+//     but, like <double>, invariant to batch width, n_workers and the
+//     live_lanes schedule.
+template <typename Real = double>
 std::vector<EigensolverResult> solve_all_band_batched(
-    const std::vector<FragmentSolve>& frags, const EigensolverOptions& opt,
-    BatchWorkspace& ws, int n_workers = 1,
-    const std::function<int()>& live_lanes = {});
-
-// Single-precision lockstep driver (the mixed-precision fast path; see
-// the architecture block). Takes the same double-precision psi blocks:
-// the guess is orthonormalized in double, rounded once into the fp32
-// arenas, iterated in fp32, and the result rounded back into psi. NOT
-// bit-identical to solve_all_band — the effective residual tolerance is
-// floored at 2e-5 and eigenvalues carry fp32 subspace accuracy.
-std::vector<EigensolverResult> solve_all_band_batched_f32(
     const std::vector<FragmentSolve>& frags, const EigensolverOptions& opt,
     BatchWorkspace& ws, int n_workers = 1,
     const std::function<int()>& live_lanes = {});

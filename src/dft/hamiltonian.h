@@ -17,6 +17,7 @@
 
 #include <deque>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "atoms/structure.h"
@@ -30,50 +31,52 @@
 
 namespace ls3df {
 
-// Grow-only scratch arena for Hamiltonian::apply_batched: the contiguous
-// grid stack (one grid per band) plus one nonlocal projection matrix per
-// batch member. One arena per batch, persistent across SCF iterations, so
-// the steady state allocates nothing; allocations() counts capacity-growth
-// events like EigenWorkspace so the LS3DF probe can watch it.
+// Grow-only scratch arena for Hamiltonian::apply_batched: one FFT grid
+// per worker lane plus one nonlocal projection matrix per batch member,
+// kept per precision (the double and float instantiations of the apply
+// each have their own). A batch whose SCF loop alternates precision (fp32
+// early iterations, fp64 after promotion) keeps both steady states
+// resident, and the float side costs nothing until first touched. One
+// arena per batch, persistent across SCF iterations, so the steady state
+// allocates nothing; allocations() counts capacity-growth events like
+// EigenWorkspace so the LS3DF probe can watch it.
 class ApplyBatchWorkspace {
  public:
   // Contiguous stack of n complex grid points (values unspecified).
-  std::complex<double>* grid_stack(std::size_t n);
+  template <typename Real = double>
+  std::complex<Real>* grid_stack(std::size_t n);
   // Projection matrix slot for batch member `member`, sized rows x cols.
-  MatC& proj(int member, int rows, int cols);
-
-  // Single-precision twins backing apply_batched_f32 (the mixed-precision
-  // Davidson fast path). They live beside the double arenas, not instead
-  // of them: a batch whose SCF loop alternates precision (fp32 early
-  // iterations, fp64 after promotion) keeps both steady states resident,
-  // and neither costs anything until first touched.
-  std::complex<float>* grid_stack_f32(std::size_t n);
-  MatCF& proj_f32(int member, int rows, int cols);
+  template <typename Real = double>
+  Matrix<std::complex<Real>>& proj(int member, int rows, int cols);
 
   long allocations() const { return allocs_; }
 
   // Dispatch-control scratch hoisted out of apply_batched: band offsets,
-  // the band -> member map, and the batched-GEMM item lists. Tiny, but a
+  // the band -> member map and the members with projectors. Tiny, but a
   // fresh heap allocation per dispatch would keep the steady-state
   // allocation probes from ever going flat. Grow-only (assign/clear keep
   // capacity); capacity growth is folded into allocations() once per
   // dispatch via note_dispatch_capacity().
   std::vector<int> off, member_of, nl_members;
-  std::vector<GemmBatchItem> overlap_items, accum_items;
-  std::vector<GemmBatchItemF> overlap_items_f32, accum_items_f32;
 
  private:
   friend class Hamiltonian;
+  template <typename Real>
+  struct Arena {
+    std::vector<std::complex<Real>> stack;
+    std::size_t stack_peak = 0;
+    std::deque<Matrix<std::complex<Real>>> proj;  // stable slot addresses
+    std::vector<std::size_t> proj_peak;
+    // The two nonlocal batched-GEMM item lists (same discipline as off).
+    std::vector<BasicGemmBatchItem<Real>> overlap_items, accum_items;
+  };
+  template <typename Real>
+  Arena<Real>& arena() {
+    return std::get<Arena<Real>>(arenas_);
+  }
   void note_dispatch_capacity();
 
-  std::vector<std::complex<double>> stack_;
-  std::size_t stack_peak_ = 0;
-  std::deque<MatC> proj_;  // deque: slot addresses stay stable on growth
-  std::vector<std::size_t> proj_peak_;
-  std::vector<std::complex<float>> stack_f32_;
-  std::size_t stack_f32_peak_ = 0;
-  std::deque<MatCF> proj_f32_;
-  std::vector<std::size_t> proj_f32_peak_;
+  std::tuple<Arena<double>, Arena<float>> arenas_;
   std::size_t dispatch_peak_ = 0;
   long allocs_ = 0;
 };
@@ -103,46 +106,37 @@ class Hamiltonian {
   // lifetime of the batch (callers that drop converged members from the
   // item list keep each survivor's original slot, so per-slot arena
   // peaks never regress). Negative means "use the item's position".
-  struct ApplyItem {
+  template <typename Real>
+  struct BasicApplyItem {
     const Hamiltonian* h = nullptr;
-    const MatC* psi = nullptr;
-    MatC* hpsi = nullptr;
+    const Matrix<std::complex<Real>>* psi = nullptr;
+    Matrix<std::complex<Real>>* hpsi = nullptr;
     int slot = -1;
   };
+  using ApplyItem = BasicApplyItem<double>;
 
   // Batched application across a stack of same-size-class fragments (all
   // members must share the FFT grid shape; basis tables are per member).
-  // The local part gives every band of every member its own grid in one
-  // contiguous stack and runs scatter, inverse sphere transform, V_loc,
-  // forward sphere transform and gather for each grid in one parallel
-  // sweep; the nonlocal part runs two batched GEMMs. Per-band
-  // arithmetic is exactly apply()'s, so a batched call is bit-identical
-  // to the member-by-member loop for any n_workers — batching only
-  // changes scheduling and cache behaviour. This is the seam a GPU
+  // The local part runs scatter, inverse sphere transform, V_loc, forward
+  // sphere transform and gather plus kinetic for every band of every
+  // member in one parallel sweep, each band on its worker lane's grid of
+  // the arena's stack (min(n_workers, bands) grids);
+  // the nonlocal part runs two batched GEMMs. This is the seam a GPU
   // backend slots into: the grid stack and the fused GEMM grid are the
   // device-friendly units.
-  static void apply_batched(const std::vector<ApplyItem>& items,
+  //
+  // One template over the real type, instantiated for double and float.
+  // <double> is the engine path: per-band arithmetic is exactly apply()'s,
+  // so a batched call is bit-identical to the member-by-member loop for
+  // any n_workers — batching only changes scheduling and cache behaviour.
+  // <float> is the mixed-precision Davidson's apply: single-precision FFT
+  // plans, float GEMM cores and grids, and fp32 mirrors of V_loc, |G|^2
+  // and the KB projectors/strengths, built serially up front so the
+  // parallel body never races a lazy build. It is NOT bit-identical to
+  // apply(); trajectory checks (tests/test_mixed_precision.cpp) guard it.
+  template <typename Real = double>
+  static void apply_batched(const std::vector<BasicApplyItem<Real>>& items,
                             ApplyBatchWorkspace& ws, int n_workers = 1);
-
-  // Single-precision batch member (fp32 wavefunction blocks).
-  struct ApplyItemF32 {
-    const Hamiltonian* h = nullptr;
-    const MatCF* psi = nullptr;
-    MatCF* hpsi = nullptr;
-    int slot = -1;
-  };
-
-  // Single-precision twin of apply_batched: the same scatter / sphere FFT
-  // / V_loc / gather+kinetic / two-GEMM structure, run entirely in fp32
-  // (single-precision FFT plans, float GEMM cores, fp32 grid stack).
-  // This path is NOT bit-identical to apply() — it is the engine of the
-  // mixed-precision Davidson fast path and is guarded by trajectory
-  // checks (tests/test_mixed_precision.cpp) rather than the bit-identity
-  // contract. Each member's fp32 mirrors (V_loc, |G|^2, KB projectors)
-  // are built up front, serially, so the parallel body never races a
-  // lazy build.
-  static void apply_batched_f32(const std::vector<ApplyItemF32>& items,
-                                ApplyBatchWorkspace& ws, int n_workers = 1);
 
   // Kinetic energy sum_i occ_i <psi_i| -1/2 nabla^2 |psi_i>.
   double kinetic_energy(const MatC& psi, const std::vector<double>& occ) const;
@@ -176,11 +170,25 @@ class Hamiltonian {
   void apply_local(const std::complex<double>* in,
                    std::complex<double>* out) const;
 
-  // Build the single-precision mirrors apply_batched_f32 reads: V_loc is
-  // re-rounded whenever set_local_potential() replaces it; |G|^2 and the
-  // KB projectors/strengths are immutable after construction and rounded
-  // once. Serial-only — callers invoke it before fanning out.
+  // Build the single-precision mirrors apply_batched<float> reads: V_loc
+  // is re-rounded whenever set_local_potential() replaces it; |G|^2 and
+  // the KB projectors/strengths are immutable after construction and
+  // rounded once. Serial-only — callers invoke it before fanning out.
   void ensure_f32_mirrors() const;
+
+  // The only per-precision inputs of apply_batched: V_loc, |G|^2, the KB
+  // projectors and the KB strengths. <double> returns this Hamiltonian's
+  // own fields, <float> the fp32 mirrors (ensure_f32_mirrors() must have
+  // run first).
+  template <typename Real>
+  struct Operands {
+    const Real* vloc = nullptr;
+    const Real* g2 = nullptr;
+    const Matrix<std::complex<Real>>* projectors = nullptr;
+    const Real* strengths = nullptr;
+  };
+  template <typename Real>
+  Operands<Real> operands() const;
 
   Structure structure_;
   std::unique_ptr<GVectors> basis_;
@@ -193,7 +201,7 @@ class Hamiltonian {
   // per occupied band). Like work_, shares the instance's
   // one-thread-at-a-time contract.
   mutable std::vector<std::complex<double>> density_stack_;
-  // Single-precision mirrors for apply_batched_f32 (see
+  // Single-precision mirrors for apply_batched<float> (see
   // ensure_f32_mirrors). Lazily built; V_loc's copy is invalidated by
   // set_local_potential so fp64-only runs never pay for them.
   mutable std::vector<float> vloc_f32_;

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "parallel/thread_pool.h"
-
 namespace ls3df {
 
 template <typename Real>
@@ -80,38 +78,6 @@ void BasicFft3D<Real>::forward_sphere(Cplx* data,
   transform_x(data, false);
   for (int ix : sphere.slabs) transform_y_slab(data, ix, false);
   for (int r : sphere.rows) transform_z_row(data, r, false);
-}
-
-namespace {
-
-template <typename Real>
-void transform_many(const BasicFft3D<Real>& self, std::complex<Real>* stack,
-                    int count, bool inv, int n_workers) {
-  if (count <= 0) return;
-  const std::size_t stride = self.size();
-  // The plan holds no mutable state (pass scratch is thread-local,
-  // fft/fft.h), so every lane transforms through it directly.
-  parallel_for(count, n_workers, [&](int g, int) {
-    std::complex<Real>* grid = stack + static_cast<std::size_t>(g) * stride;
-    if (inv)
-      self.inverse(grid);
-    else
-      self.forward(grid);
-  });
-}
-
-}  // namespace
-
-template <typename Real>
-void BasicFft3D<Real>::forward_many(Cplx* stack, int count,
-                                    int n_workers) const {
-  transform_many(*this, stack, count, false, n_workers);
-}
-
-template <typename Real>
-void BasicFft3D<Real>::inverse_many(Cplx* stack, int count,
-                                    int n_workers) const {
-  transform_many(*this, stack, count, true, n_workers);
 }
 
 template class BasicFft3D<double>;

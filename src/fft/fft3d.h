@@ -17,7 +17,7 @@
 //
 // Two transform families share these passes.
 //
-// Dense (forward/inverse, and the *_many sweeps): every row and slab.
+// Dense (forward/inverse): every row and slab.
 // Forward applies z, then y, then x; the inverse applies x, then y, then
 // z. Per-axis line transforms commute exactly in real arithmetic but not
 // in floating point, so the order is part of the bit-level contract. The
@@ -93,16 +93,6 @@ class BasicFft3D {
   // listed rows unspecified.
   void inverse_sphere(Cplx* data, const SphereLines& sphere) const;
   void forward_sphere(Cplx* data, const SphereLines& sphere) const;
-
-  // Many-transform sweep over a contiguous stack of `count` grids of this
-  // shape (stack[g * size() .. (g+1) * size())). Transforms are
-  // independent, so the sweep fans out over min(n_workers, count) lanes
-  // of the shared pool. Each lane runs this plan with its own
-  // thread-local pass scratch, so each grid's arithmetic is exactly what
-  // a serial forward()/inverse() call would produce — results are
-  // bit-identical for any n_workers.
-  void forward_many(Cplx* stack, int count, int n_workers = 1) const;
-  void inverse_many(Cplx* stack, int count, int n_workers = 1) const;
 
  private:
   void transform(Cplx* data, bool inv) const;

@@ -1,6 +1,7 @@
 #include "fft/plan_cache.h"
 
 #include <atomic>
+#include <tuple>
 #include <unordered_map>
 
 #include "obs/context.h"
@@ -25,8 +26,10 @@ std::uint64_t next_cache_id() {
 // One thread's plans within one cache instance. Only the owning thread
 // touches a shard after registration, so lookups are lock-free.
 struct FftPlanCache::Shard {
-  std::unordered_map<long long, std::unique_ptr<Fft3D>> plans3d;
-  std::unordered_map<long long, std::unique_ptr<Fft3DF>> plans3d_f32;
+  template <typename Real>
+  using Plans3D =
+      std::unordered_map<long long, std::unique_ptr<BasicFft3D<Real>>>;
+  std::tuple<Plans3D<double>, Plans3D<float>> plans3d;
   std::unordered_map<int, std::unique_ptr<Fft1D>> plans1d;
 };
 
@@ -47,17 +50,16 @@ FftPlanCache::Shard* FftPlanCache::shard_for_this_thread() {
   return shard;
 }
 
-const Fft3D& FftPlanCache::plan(Vec3i shape) {
-  auto& slot = shard_for_this_thread()->plans3d[shape_key(shape)];
-  if (!slot) slot = std::make_unique<Fft3D>(shape);
+template <typename Real>
+const BasicFft3D<Real>& FftPlanCache::plan(Vec3i shape) {
+  auto& plans =
+      std::get<Shard::Plans3D<Real>>(shard_for_this_thread()->plans3d);
+  auto& slot = plans[shape_key(shape)];
+  if (!slot) slot = std::make_unique<BasicFft3D<Real>>(shape);
   return *slot;
 }
-
-const Fft3DF& FftPlanCache::plan_f32(Vec3i shape) {
-  auto& slot = shard_for_this_thread()->plans3d_f32[shape_key(shape)];
-  if (!slot) slot = std::make_unique<Fft3DF>(shape);
-  return *slot;
-}
+template const Fft3D& FftPlanCache::plan<double>(Vec3i);
+template const Fft3DF& FftPlanCache::plan<float>(Vec3i);
 
 const Fft1D& FftPlanCache::plan_1d(int n) {
   auto& slot = shard_for_this_thread()->plans1d[n];
@@ -66,7 +68,9 @@ const Fft1D& FftPlanCache::plan_1d(int n) {
 }
 
 int FftPlanCache::thread_plan_count() {
-  return static_cast<int>(shard_for_this_thread()->plans3d.size());
+  return static_cast<int>(
+      std::get<Shard::Plans3D<double>>(shard_for_this_thread()->plans3d)
+          .size());
 }
 
 FftPlanCache& FftPlanCache::process_default() {
@@ -83,11 +87,12 @@ FftPlanCache& active_cache() {
 
 }  // namespace
 
-const Fft3D& fft_plan(Vec3i shape) { return active_cache().plan(shape); }
-
-const Fft3DF& fft_plan_f32(Vec3i shape) {
-  return active_cache().plan_f32(shape);
+template <typename Real>
+const BasicFft3D<Real>& fft_plan(Vec3i shape) {
+  return active_cache().plan<Real>(shape);
 }
+template const Fft3D& fft_plan<double>(Vec3i);
+template const Fft3DF& fft_plan<float>(Vec3i);
 
 const Fft1D& fft1d_plan(int n) { return active_cache().plan_1d(n); }
 

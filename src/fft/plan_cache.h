@@ -42,9 +42,11 @@ class FftPlanCache {
   FftPlanCache& operator=(const FftPlanCache&) = delete;
 
   // Calling thread's plan for `shape`/`n`, created on first use. The
-  // reference stays valid for the life of the cache.
-  const Fft3D& plan(Vec3i shape);
-  const Fft3DF& plan_f32(Vec3i shape);
+  // reference stays valid for the life of the cache. The 3D plans are
+  // kept per precision (instantiated for double and float), so a thread
+  // that never touches fp32 pays nothing for it.
+  template <typename Real = double>
+  const BasicFft3D<Real>& plan(Vec3i shape);
   const Fft1D& plan_1d(int n);
 
   // Number of distinct 3D double-precision plans cached by the calling
@@ -68,12 +70,9 @@ class FftPlanCache {
 // it on first use. "Active" = ObsContext.plans if installed, else the
 // process default. The reference stays valid for the life of that
 // cache (for the process default: the life of the process).
-const Fft3D& fft_plan(Vec3i shape);
-
-// Single-precision twin of fft_plan, backing the mixed-precision Davidson
-// fast path (dft/eigensolver.h). Cached separately so a thread that never
-// touches fp32 pays nothing.
-const Fft3DF& fft_plan_f32(Vec3i shape);
+// fft_plan<float> backs the mixed-precision Davidson (dft/eigensolver.h).
+template <typename Real = double>
+const BasicFft3D<Real>& fft_plan(Vec3i shape);
 
 // This thread's cached 1D plan for length `n`. The distributed transform
 // (fft/dist_fft3d.h) runs its per-slab line transforms through these, so

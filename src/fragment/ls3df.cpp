@@ -652,13 +652,16 @@ void Ls3dfSolver::petot_f_per_fragment(int n_groups) {
 
 void Ls3dfSolver::prepare_batch_workspaces() {
   // One persistent workspace per batch, presized to the batch's solve
-  // extents (including the apply stack at the maximum Ritz-block width)
-  // so the steady state allocates nothing.
+  // extents so the steady state allocates nothing. The apply stack holds
+  // one grid per worker lane, so it is sized for the lane cap: a lane
+  // donation that widens a solve mid-flight then never grows it.
+  const int lane_cap = std::max(1, opt_.n_workers);
   while (batch_workspaces_.size() < batches_.size())
     batch_workspaces_.push_back(std::make_unique<BatchWorkspace>());
   for (std::size_t b = 0; b < batches_.size(); ++b) {
     BatchWorkspace& bw = *batch_workspaces_[b];
-    std::size_t stack = 0;
+    int bands = 0;
+    std::size_t gsize = 0;
     int i = 0;
     for (int f : batches_[b].members) {
       const FragmentContext& ctx = *contexts_[f];
@@ -667,12 +670,14 @@ void Ls3dfSolver::prepare_batch_workspaces() {
       bw.member(i).reserve(ng, ctx.n_bands, opt_.all_band);
       if (opt_.all_band) {
         const Vec3i g = ctx.h->basis().grid_shape();
-        stack += static_cast<std::size_t>(vmax) * g.x * g.y * g.z;
+        gsize = static_cast<std::size_t>(g.x) * g.y * g.z;
+        bands += vmax;
         bw.apply().proj(i, ctx.h->nonlocal().num_projectors(), vmax);
       }
       ++i;
     }
-    if (stack > 0) bw.apply().grid_stack(stack);
+    if (bands > 0)
+      bw.apply().grid_stack(std::min(lane_cap, bands) * gsize);
   }
 }
 
@@ -699,8 +704,10 @@ void Ls3dfSolver::solve_batch(int b, int group,
     };
     std::vector<EigensolverResult> rs =
         use_fp32_iter_
-            ? solve_all_band_batched_f32(items, opt_.eig, bw, 1, live_lanes)
-            : solve_all_band_batched(items, opt_.eig, bw, 1, live_lanes);
+            ? solve_all_band_batched<float>(items, opt_.eig, bw, 1,
+                                            live_lanes)
+            : solve_all_band_batched<double>(items, opt_.eig, bw, 1,
+                                             live_lanes);
     for (int k = 0; k < k_members; ++k)
       contexts_[batch.members[k]]->eigenvalues = std::move(rs[k].eigenvalues);
     // Densities member by member, each member's bands transformed in

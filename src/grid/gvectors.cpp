@@ -54,34 +54,30 @@ void GVectors::gather(const FieldC& grid, std::complex<double>* coeff) const {
   gather(grid.data(), coeff);
 }
 
-void GVectors::scatter(const std::complex<double>* coeff,
-                       std::complex<double>* grid) const {
+template <typename Real>
+void GVectors::scatter(const std::complex<Real>* coeff,
+                       std::complex<Real>* grid) const {
   const std::size_t n = static_cast<std::size_t>(grid_shape_.x) *
                         grid_shape_.y * grid_shape_.z;
-  std::fill(grid, grid + n, std::complex<double>(0, 0));
+  std::fill(grid, grid + n, std::complex<Real>(0, 0));
   for (std::size_t i = 0; i < fft_index_.size(); ++i)
     grid[fft_index_[i]] = coeff[i];
 }
 
-void GVectors::gather(const std::complex<double>* grid,
-                      std::complex<double>* coeff) const {
+template <typename Real>
+void GVectors::gather(const std::complex<Real>* grid,
+                      std::complex<Real>* coeff) const {
   for (std::size_t i = 0; i < fft_index_.size(); ++i)
     coeff[i] = grid[fft_index_[i]];
 }
 
-void GVectors::scatter(const std::complex<float>* coeff,
-                       std::complex<float>* grid) const {
-  const std::size_t n = static_cast<std::size_t>(grid_shape_.x) *
-                        grid_shape_.y * grid_shape_.z;
-  std::fill(grid, grid + n, std::complex<float>(0, 0));
-  for (std::size_t i = 0; i < fft_index_.size(); ++i)
-    grid[fft_index_[i]] = coeff[i];
-}
-
-void GVectors::gather(const std::complex<float>* grid,
-                      std::complex<float>* coeff) const {
-  for (std::size_t i = 0; i < fft_index_.size(); ++i)
-    coeff[i] = grid[fft_index_[i]];
-}
+template void GVectors::scatter<double>(const std::complex<double>*,
+                                        std::complex<double>*) const;
+template void GVectors::scatter<float>(const std::complex<float>*,
+                                       std::complex<float>*) const;
+template void GVectors::gather<double>(const std::complex<double>*,
+                                       std::complex<double>*) const;
+template void GVectors::gather<float>(const std::complex<float>*,
+                                      std::complex<float>*) const;
 
 }  // namespace ls3df

@@ -33,6 +33,8 @@ class GVectors {
   // Cartesian G vector and |G|^2 of basis element g.
   const Vec3d& g(int i) const { return g_[i]; }
   double g2(int i) const { return g2_[i]; }
+  // |G|^2 of every basis element, in basis order.
+  const std::vector<double>& g2_table() const { return g2_; }
   // Linear index into the FFT grid for basis element g.
   std::size_t fft_index(int i) const { return fft_index_[i]; }
   // Integer Miller triplet (signed frequencies) of basis element g.
@@ -51,18 +53,14 @@ class GVectors {
 
   // Raw-pointer variants over a caller-owned grid of grid_shape() extent
   // (used by the batched Hamiltonian path, whose grids live in a
-  // contiguous many-transform stack rather than in Field3D objects).
-  void scatter(const std::complex<double>* coeff,
-               std::complex<double>* grid) const;
-  void gather(const std::complex<double>* grid,
-              std::complex<double>* coeff) const;
-
-  // Single-precision twins over the same index table (the fp32 grid
-  // stacks of the mixed-precision Hamiltonian apply).
-  void scatter(const std::complex<float>* coeff,
-               std::complex<float>* grid) const;
-  void gather(const std::complex<float>* grid,
-              std::complex<float>* coeff) const;
+  // contiguous grid stack rather than in Field3D objects). Instantiated
+  // for double and float (the fp32 grids of the mixed-precision apply).
+  template <typename Real>
+  void scatter(const std::complex<Real>* coeff,
+               std::complex<Real>* grid) const;
+  template <typename Real>
+  void gather(const std::complex<Real>* grid,
+              std::complex<Real>* coeff) const;
 
   // Signed FFT frequency for index i on an axis of n points.
   static int freq(int i, int n) { return i <= n / 2 ? i : i - n; }

@@ -233,15 +233,32 @@ void gemm_general_range(Op opA, Op opB, std::complex<R> alpha,
     }
 }
 
-// Shared batched body: the item type carries the element precision
-// (GemmBatchItem = double, GemmBatchItemF = float); the tile grid,
-// alignment rules and per-tile beta handling are identical, so both
-// precisions inherit the same bit-identity-to-serial-gemm argument.
-template <typename R, typename Item>
-void gemm_batched_impl(Op opA, Op opB, std::complex<R> alpha,
-                       const std::vector<Item>& items, std::complex<R> beta,
-                       int n_workers) {
+}  // namespace
+
+void gemm(Op opA, Op opB, std::complex<double> alpha, const MatC& A,
+          const MatC& B, std::complex<double> beta, MatC& C) {
+  gemm_impl(opA, opB, alpha, A, B, beta, C);
+}
+
+void gemm(Op opA, Op opB, double alpha, const MatR& A, const MatR& B,
+          double beta, MatR& C) {
+  gemm_impl(opA, opB, alpha, A, B, beta, C);
+}
+
+void gemm(Op opA, Op opB, std::complex<float> alpha, const MatCF& A,
+          const MatCF& B, std::complex<float> beta, MatCF& C) {
+  gemm_impl(opA, opB, alpha, A, B, beta, C);
+}
+
+// One body for both precisions: the tile grid, alignment rules and
+// per-tile beta handling are the same, so float inherits the double
+// path's bit-identity-to-serial-gemm argument.
+template <typename R>
+void gemm_batched(Op opA, Op opB, std::complex<R> alpha,
+                  const std::vector<BasicGemmBatchItem<R>>& items,
+                  std::complex<R> beta, int n_workers) {
   using cd = std::complex<R>;
+  using Item = BasicGemmBatchItem<R>;
   using Mat = Matrix<cd>;
   if (items.empty()) return;
 
@@ -305,34 +322,12 @@ void gemm_batched_impl(Op opA, Op opB, std::complex<R> alpha,
   }
 }
 
-}  // namespace
-
-void gemm(Op opA, Op opB, std::complex<double> alpha, const MatC& A,
-          const MatC& B, std::complex<double> beta, MatC& C) {
-  gemm_impl(opA, opB, alpha, A, B, beta, C);
-}
-
-void gemm(Op opA, Op opB, double alpha, const MatR& A, const MatR& B,
-          double beta, MatR& C) {
-  gemm_impl(opA, opB, alpha, A, B, beta, C);
-}
-
-void gemm(Op opA, Op opB, std::complex<float> alpha, const MatCF& A,
-          const MatCF& B, std::complex<float> beta, MatCF& C) {
-  gemm_impl(opA, opB, alpha, A, B, beta, C);
-}
-
-void gemm_batched(Op opA, Op opB, std::complex<double> alpha,
-                  const std::vector<GemmBatchItem>& items,
-                  std::complex<double> beta, int n_workers) {
-  gemm_batched_impl<double>(opA, opB, alpha, items, beta, n_workers);
-}
-
-void gemm_batched(Op opA, Op opB, std::complex<float> alpha,
-                  const std::vector<GemmBatchItemF>& items,
-                  std::complex<float> beta, int n_workers) {
-  gemm_batched_impl<float>(opA, opB, alpha, items, beta, n_workers);
-}
+template void gemm_batched<double>(Op, Op, std::complex<double>,
+                                  const std::vector<GemmBatchItem>&,
+                                  std::complex<double>, int);
+template void gemm_batched<float>(
+    Op, Op, std::complex<float>,
+    const std::vector<BasicGemmBatchItem<float>>&, std::complex<float>, int);
 
 void gemv(Op opA, std::complex<double> alpha, const MatC& A,
           const std::complex<double>* x, std::complex<double> beta,

@@ -29,18 +29,15 @@ void gemm(Op opA, Op opB, std::complex<float> alpha, const MatCF& A,
 // One member of a batched product: C = alpha * op(A) * op(B) + beta * C.
 // Shapes may differ between members (same-class fragment batches share
 // them, but the nonlocal path has per-fragment projector counts).
-struct GemmBatchItem {
-  const MatC* a = nullptr;
-  const MatC* b = nullptr;
-  MatC* c = nullptr;
+// Templated over the real type like the blocked cores: <double> is the
+// engine path, <float> the mixed-precision Davidson stack.
+template <typename Real>
+struct BasicGemmBatchItem {
+  const Matrix<std::complex<Real>>* a = nullptr;
+  const Matrix<std::complex<Real>>* b = nullptr;
+  Matrix<std::complex<Real>>* c = nullptr;
 };
-
-// Single-precision batch member (the fp32 Davidson stack).
-struct GemmBatchItemF {
-  const MatCF* a = nullptr;
-  const MatCF* b = nullptr;
-  MatCF* c = nullptr;
-};
+using GemmBatchItem = BasicGemmBatchItem<double>;
 
 // Batched GEMM: every item's product, fused into one sweep over a grid of
 // (member, column-tile) work units executed via parallel_for on the shared
@@ -49,12 +46,11 @@ struct GemmBatchItemF {
 // would use — a batched call is bit-identical to the member-by-member
 // loop for any n_workers, which is what lets the batched fragment solver
 // promise per-fragment reproducibility. n_workers <= 1 runs inline.
-void gemm_batched(Op opA, Op opB, std::complex<double> alpha,
-                  const std::vector<GemmBatchItem>& items,
-                  std::complex<double> beta, int n_workers = 1);
-void gemm_batched(Op opA, Op opB, std::complex<float> alpha,
-                  const std::vector<GemmBatchItemF>& items,
-                  std::complex<float> beta, int n_workers = 1);
+// Instantiated for double and float.
+template <typename Real>
+void gemm_batched(Op opA, Op opB, std::complex<Real> alpha,
+                  const std::vector<BasicGemmBatchItem<Real>>& items,
+                  std::complex<Real> beta, int n_workers = 1);
 
 // y = alpha * op(A) * x + beta * y (BLAS-2).
 void gemv(Op opA, std::complex<double> alpha, const MatC& A,

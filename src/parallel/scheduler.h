@@ -36,7 +36,7 @@ namespace ls3df {
 //                           one donation event.
 //
 // Batched kernels re-read allowance() at every sweep boundary (each
-// apply_batched / gemm_batched / FFT many-sweep dispatch inside the
+// apply_batched / gemm_batched / per-member fan-out inside the
 // lockstep Davidson driver — see dft/eigensolver.h), so tail solves widen
 // mid-flight. The engine's determinism contract (thread_pool.h) makes the
 // worker count arithmetically invisible, so donation is bit-identical to

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -443,7 +444,10 @@ TEST(BatchedSolver, SteadyStateAllocatesNothing) {
   // members differ in atom (and therefore projector) count and band
   // count, so members converge out of the lockstep at different
   // iterations — workspace slots must stay keyed to the member, not to
-  // the member's position in the shrinking active list.
+  // the member's position in the shrinking active list. The second
+  // schedule widens the live lane count from 1 to 4 within each solve,
+  // as lane donation does: the per-lane apply grids reach their peak in
+  // the first solve and are reused after.
   const Lattice lat = Lattice::cubic(8.0);
   const Vec3i grid{10, 10, 10};
   std::vector<std::unique_ptr<Hamiltonian>> hams;
@@ -461,22 +465,33 @@ TEST(BatchedSolver, SteadyStateAllocatesNothing) {
   }
   ASSERT_NE(hams[0]->nonlocal().num_projectors(),
             hams[1]->nonlocal().num_projectors());
-  BatchWorkspace ws;
   const EigensolverOptions opt{6, 1e-9, true};
-  long after_first = -1;
-  for (int rep = 0; rep < 3; ++rep) {
-    std::vector<MatC> psis;
-    for (int t = 0; t < 2; ++t)
-      psis.push_back(
-          random_wavefunctions(hams[t]->basis(), bands[t], 5 + rep));
-    std::vector<FragmentSolve> frags;
-    for (int t = 0; t < 2; ++t) frags.push_back({hams[t].get(), &psis[t]});
-    solve_all_band_batched(frags, opt, ws);
-    if (rep == 0) {
-      after_first = ws.allocations();
-      EXPECT_GT(after_first, 0);
-    } else {
-      EXPECT_EQ(ws.allocations(), after_first) << "rep " << rep;
+  for (bool widening : {false, true}) {
+    BatchWorkspace ws;
+    long after_first = -1;
+    for (int rep = 0; rep < 3; ++rep) {
+      int reads = 0;
+      const std::function<int()> live_lanes = [&reads]() {
+        return std::min(4, 1 + reads++ / 6);
+      };
+      std::vector<MatC> psis;
+      for (int t = 0; t < 2; ++t)
+        psis.push_back(
+            random_wavefunctions(hams[t]->basis(), bands[t], 5 + rep));
+      std::vector<FragmentSolve> frags;
+      for (int t = 0; t < 2; ++t) frags.push_back({hams[t].get(), &psis[t]});
+      solve_all_band_batched(frags, opt, ws, 1,
+                             widening ? live_lanes : nullptr);
+      if (widening) {
+        EXPECT_GE(reads, 18) << "schedule never reached 4";
+      }
+      if (rep == 0) {
+        after_first = ws.allocations();
+        EXPECT_GT(after_first, 0);
+      } else {
+        EXPECT_EQ(ws.allocations(), after_first)
+            << "rep " << rep << " widening=" << widening;
+      }
     }
   }
 }

@@ -295,7 +295,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // A line transformed inside a multi-line pass must be bit-identical to
 // the same line transformed alone: the contract that keeps DistFft3D ==
-// Fft3D and forward_many == serial transforms exact.
+// Fft3D exact.
 template <typename Real>
 void expect_lines_match_single(int n, int howmany) {
   using C = std::complex<Real>;
@@ -452,36 +452,6 @@ TEST(Fft3D, MatchesSeparable1DTransforms) {
     }
 
   EXPECT_LT(max_err(got, ref), 1e-9);
-}
-
-TEST(Fft3DMany, BitIdenticalToSingleTransforms) {
-  // The many-transform sweep must reproduce per-grid transforms exactly,
-  // for any worker count (each lane runs the plan with its own
-  // thread-local pass scratch).
-  const Vec3i shape{6, 4, 5};
-  Fft3D plan(shape);
-  const int count = 7;
-  auto stack0 = random_signal(static_cast<int>(plan.size()) * count, 77);
-  for (int workers : {1, 4}) {
-    auto many = stack0;
-    plan.forward_many(many.data(), count, workers);
-    auto single = stack0;
-    for (int g = 0; g < count; ++g)
-      plan.forward(single.data() + static_cast<std::size_t>(g) * plan.size());
-    for (std::size_t i = 0; i < many.size(); ++i)
-      ASSERT_EQ(many[i], single[i]) << "forward i=" << i
-                                    << " workers=" << workers;
-
-    plan.inverse_many(many.data(), count, workers);
-    for (int g = 0; g < count; ++g)
-      plan.inverse(single.data() + static_cast<std::size_t>(g) * plan.size());
-    for (std::size_t i = 0; i < many.size(); ++i)
-      ASSERT_EQ(many[i], single[i]) << "inverse i=" << i
-                                    << " workers=" << workers;
-    // And the round trip still recovers the input to solver precision.
-    for (std::size_t i = 0; i < many.size(); ++i)
-      ASSERT_LT(std::abs(many[i] - stack0[i]), 1e-12);
-  }
 }
 
 // The sphere transforms against the dense transform in the same

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -74,7 +75,7 @@ TEST(MixedPrecision, Fp32BatchedSolveApproximatesFp64Eigenvalues) {
     std::vector<EigensolverResult> r64 =
         solve_all_band_batched(f64, opt, ws64, workers);
     std::vector<EigensolverResult> r32 =
-        solve_all_band_batched_f32(f32, opt, ws32, workers);
+        solve_all_band_batched<float>(f32, opt, ws32, workers);
     ASSERT_EQ(r32.size(), r64.size());
     for (int t = 0; t < 3; ++t) {
       ASSERT_EQ(r32[t].eigenvalues.size(), r64[t].eigenvalues.size());
@@ -94,6 +95,56 @@ TEST(MixedPrecision, Fp32BatchedSolveApproximatesFp64Eigenvalues) {
   }
 }
 
+TEST(MixedPrecision, Fp32BatchedBitIdenticalAcrossWorkersAndWidths) {
+  // The fp32 driver is exempt from matching fp64, not from the
+  // scheduling contract: a 3-member fp32 batch must reproduce three solo
+  // fp32 solves bit for bit at any worker count and under a live-lane
+  // schedule that changes width between sweeps.
+  const Lattice lat = Lattice::cubic(8.0);
+  const Vec3i grid{10, 10, 10};
+  std::vector<std::unique_ptr<Hamiltonian>> hams;
+  std::vector<MatC> guesses;
+  for (int t = 0; t < 3; ++t) {
+    Structure s(lat);
+    s.add_atom(Species::kZn, {2.0 + 0.6 * t, 2.0, 2.0});
+    s.add_atom(Species::kTe, {2.0 + 0.6 * t, 2.0, 4.5});
+    GVectors gv(lat, grid, 1.2);
+    hams.push_back(std::make_unique<Hamiltonian>(s, gv));
+    guesses.push_back(random_wavefunctions(gv, 5, 500 + t));
+  }
+  const EigensolverOptions opt{25, 1e-7, true};
+
+  std::vector<MatC> solo_psi = guesses;
+  std::vector<EigensolverResult> solo;
+  for (int t = 0; t < 3; ++t) {
+    BatchWorkspace ws;
+    std::vector<FragmentSolve> one{{hams[t].get(), &solo_psi[t]}};
+    solo.push_back(solve_all_band_batched<float>(one, opt, ws)[0]);
+  }
+
+  int reads = 0;
+  const std::function<int()> cycling = [&reads]() { return 1 + reads++ % 4; };
+  for (int schedule = 0; schedule < 3; ++schedule) {
+    const int workers = schedule == 1 ? 4 : 1;
+    std::vector<MatC> psi = guesses;
+    std::vector<FragmentSolve> frags;
+    for (int t = 0; t < 3; ++t) frags.push_back({hams[t].get(), &psi[t]});
+    BatchWorkspace ws;
+    const std::vector<EigensolverResult> r = solve_all_band_batched<float>(
+        frags, opt, ws, workers, schedule == 2 ? cycling : nullptr);
+    for (int t = 0; t < 3; ++t) {
+      ASSERT_EQ(r[t].iterations, solo[t].iterations) << "schedule " << schedule;
+      ASSERT_EQ(r[t].eigenvalues, solo[t].eigenvalues)
+          << "member " << t << " schedule " << schedule;
+      ASSERT_EQ(r[t].max_residual, solo[t].max_residual);
+      for (std::size_t i = 0; i < psi[t].size(); ++i)
+        ASSERT_EQ(psi[t].data()[i], solo_psi[t].data()[i])
+            << "member " << t << " schedule " << schedule << " i=" << i;
+    }
+  }
+  EXPECT_GT(reads, 4);
+}
+
 TEST(MixedPrecision, Fp32SteadyStateAllocatesNothing) {
   // The fp32 arenas obey the same grow-only discipline as the double
   // ones: repeated solves of one batch composition allocate only once.
@@ -110,7 +161,7 @@ TEST(MixedPrecision, Fp32SteadyStateAllocatesNothing) {
   for (int rep = 0; rep < 3; ++rep) {
     MatC psi = random_wavefunctions(gv, 4, 9 + rep);
     std::vector<FragmentSolve> frags{{&h, &psi}};
-    solve_all_band_batched_f32(frags, opt, ws);
+    solve_all_band_batched<float>(frags, opt, ws);
     if (rep == 0) {
       after_first = ws.allocations();
       EXPECT_GT(after_first, 0);
